@@ -11,8 +11,8 @@ the loop with a deadtime-aware Monte Carlo run at the fitted mu.
 """
 
 from heraldsim import (ChannelSpec, DetectorSpec, MeasuredCounts, SimConfig,
-                       SourceSpec, Transmittance, calibrate_source, g2_predicted,
-                       herald_rate_with_deadtime, linear_to_db, solve_channel_loss)
+                       Transmittance, calibrate_source, g2_predicted, linear_to_db,
+                       simulate, solve_channel_loss)
 
 DETECTOR = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=10e-6)
 BETA = Transmittance.from_db(-23.3)
@@ -40,7 +40,8 @@ def main() -> None:
                     channel=ChannelSpec(Transmittance(1.0), Transmittance(1.0)),
                     detector=DETECTOR, n_slots=20_000_000, seed=5,
                     apply_herald_deadtime=True)
-    rate = herald_rate_with_deadtime(cfg)
+    sim = simulate(cfg)
+    rate = sim.heralds / sim.slots * DETECTOR.pulse_rate_hz
     print(f"\nclosing the loop: simulated herald rate at mu={result.mu_from_rate:.4f} "
           f"is {rate:.0f} Hz")
 

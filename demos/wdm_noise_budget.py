@@ -41,8 +41,8 @@ def main() -> None:
     print(f"  {'ch':>3}  {'nm':>8}  {'p_noise':>9}  {'psnr':>6}  {'qber':>6}  "
           f"{'rate':>9}  {'wcs qber':>8}")
     for row in result.per_channel:
-        spec = row.channel.resolve(BASE_CHANNEL)
-        wcs = link_metrics(SourceSpec.wcs(SOURCE.mu * row.channel.sfwm_weight), spec)
+        spec = row.channel_spec
+        wcs = link_metrics(SourceSpec.wcs(row.source.mu), spec)
         usable = "" if wcs.qber < 0.10 else "  <- heralding required"
         print(f"  {row.channel.index:3d}  {row.wavelength_nm:8.2f}  "
               f"{spec.p_noise:9.2e}  {row.metrics.psnr:6.2f}  "

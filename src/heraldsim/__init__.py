@@ -19,7 +19,7 @@ from .core import (DEFAULT_REPORTING_LOSS, SPEED_OF_LIGHT_M_S, ChannelSpec,
                    wavelength_to_frequency, wcs_detection_prob)
 from .montecarlo import (Estimate, MetricsEstimate, RunCounts, SimConfig,
                          analytic_predictions, analytic_std_errs, derive_seed,
-                         estimate_metrics, herald_rate_with_deadtime, simulate)
+                         estimate_metrics, simulate)
 from .scenario import Scenario, ScenarioError, build_scenario, load_scenario
 from .wdm import (ChannelMetrics, ChannelPlan, NoiseScanRow, WdmAggregate,
                   WdmChannel, aggregate, channel_wavelength, load_noise_scan,
@@ -44,7 +44,6 @@ __all__ = [
     # montecarlo
     "SimConfig", "RunCounts", "Estimate", "MetricsEstimate", "derive_seed",
     "simulate", "estimate_metrics", "analytic_predictions", "analytic_std_errs",
-    "herald_rate_with_deadtime",
     # scenario
     "Scenario", "ScenarioError", "load_scenario", "build_scenario",
     # wdm

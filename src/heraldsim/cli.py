@@ -11,7 +11,10 @@ file (CSV unless ``--format`` says otherwise).  Machine formats render
 floats with 12 significant digits; non-finite values appear as ``inf``,
 ``-inf``, or ``nan`` (as JSON strings, since JSON has no literals for
 them).  The environment variable ``HERALDSIM_SEED`` overrides the
-scenario's seed; an explicit ``--seed`` flag beats both.
+scenario's seed; an explicit ``--seed`` flag beats both.  ``simulate``,
+``sweep --simulate`` and ``wdm --simulate`` share one job runner:
+``--workers N`` runs their simulations in up to N processes without
+changing any output.
 """
 
 from __future__ import annotations
@@ -24,15 +27,14 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
-from .calibration import (CalibrationError, ConvergenceError, InfeasibleError,
-                          MeasuredCounts, SaturationError, beta_mu_from_rate,
+from .calibration import (ConvergenceError, MeasuredCounts, beta_mu_from_rate,
                           calibrate_source, mu_from_g2)
 from .core import (DEFAULT_REPORTING_LOSS, ChannelSpec, DetectorSpec, SourceSpec,
-                   Transmittance, UndefinedConditionalError, g2_predicted,
-                   linear_to_db, link_metrics, psnr_gain_approx, qber_from_psnr,
-                   wcs_detection_prob)
+                   Transmittance, g2_predicted, linear_to_db, link_metrics,
+                   psnr_gain_approx, qber_from_psnr, wcs_detection_prob)
 from .montecarlo import (RunCounts, analytic_predictions, analytic_std_errs,
                          derive_seed, estimate_metrics, simulate)
 from .scenario import (Scenario, ScenarioError, build_scenario,
@@ -42,8 +44,11 @@ from .wdm import ChannelPlan, aggregate, channel_wavelength
 __all__ = ["main", "FIG7_CHANNELS", "fig7_operating_points"]
 
 SEED_ENV = "HERALDSIM_SEED"
+MAX_REPLICAS = 1000
 
 ESTIMATE_QUANTITIES = ("p_t", "p_cond", "psnr", "qber", "g2", "car", "herald_rate_hz")
+SWEEP_SIM_QUANTITIES = ("p_t", "p_cond", "psnr", "qber")
+WDM_SIM_QUANTITIES = ("p_t", "p_cond", "qber")
 
 # Reference operating point: mu and arm transmittances of the characterized
 # pair source, pulse clock and deadtime of its gated detectors.
@@ -164,23 +169,53 @@ def _emit(args, header: tuple, rows: list, *, notes: tuple = (),
         sys.stdout.write(text)
 
 
-def _resolve_seed(flag_seed: int | None, scenario_seed: int) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
+def _pool_size(workers: int, n_jobs: int) -> int:
+    """Worker processes for a run: never more than its jobs or the CPUs."""
+    return min(workers, n_jobs, os.cpu_count() or 1)
+
+
+def _run_jobs(args, jobs: list) -> tuple[list, list]:
+    """Simulate ``(scenario, run index)`` jobs; return their configs and counts.
+
+    The base seed is ``--seed``, else ``HERALDSIM_SEED``, else the first
+    job's scenario seed.  Each job runs ``derive_seed(base, run index)``
+    over ``--slots`` or its scenario's ``n_slots`` slots.  With
+    ``--workers N > 1`` the jobs share one process pool; no result
+    depends on N.
+    """
+    if args.slots is not None and args.slots < 1:
+        raise ScenarioError("--slots", f"must be >= 1, got {args.slots}")
+    if args.workers is not None and args.workers < 1:
+        raise ScenarioError("--workers", f"must be >= 1, got {args.workers}")
+    base_seed = args.seed
+    if base_seed is None:
+        env = os.environ.get(SEED_ENV)
         try:
-            return int(env)
+            base_seed = int(env) if env is not None else jobs[0][0].simulation["seed"]
         except ValueError:
             raise ScenarioError(SEED_ENV, f"must be an integer, got {env!r}") from None
-    return scenario_seed
-
-
-def _run_many(configs: list, workers: int | None) -> list:
-    if workers is not None and workers > 1 and len(configs) > 1:
+    configs = [sc.sim_config(n_slots=args.slots or sc.simulation["n_slots"],
+                             seed=derive_seed(base_seed, index))
+               for sc, index in jobs]
+    workers = _pool_size(args.workers or 1, len(configs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(simulate, configs))
-    return [simulate(cfg) for cfg in configs]
+            return configs, list(pool.map(simulate, configs))
+    return configs, [simulate(cfg) for cfg in configs]
+
+
+def _sim_header(quantities: tuple) -> tuple:
+    return tuple(col for q in quantities for col in (f"sim_{q}", f"sim_{q}_se"))
+
+
+def _sim_cells(counts: RunCounts, config, quantities: tuple) -> tuple:
+    """``(estimate, std_err)`` per quantity; ``(None, None)`` where undefined."""
+    est = estimate_metrics(counts, config)
+    cells = ()
+    for q in quantities:
+        e = getattr(est, q)
+        cells += (e.value, e.std_err) if e is not None else (None, None)
+    return cells
 
 
 # ---------------------------------------------------------------- analyze
@@ -245,25 +280,23 @@ def _estimate_rows(counts: RunCounts, config) -> list:
 
 
 def _cmd_simulate(args) -> int:
+    if not 1 <= args.replicas <= MAX_REPLICAS:
+        raise ScenarioError("--replicas",
+                            f"must be in [1, {MAX_REPLICAS}], got {args.replicas}")
     scenario = build_scenario(load_scenario_dict(args.scenario))
-    n_slots = args.slots if args.slots is not None else scenario.simulation["n_slots"]
-    base_seed = _resolve_seed(args.seed, scenario.simulation["seed"])
-    replicas = args.replicas
-    configs = [scenario.sim_config(n_slots=n_slots, seed=derive_seed(base_seed, i))
-               for i in range(replicas)]
-    counts = _run_many(configs, args.workers)
+    configs, counts = _run_jobs(args, [(scenario, i) for i in range(args.replicas)])
     pooled = RunCounts.merge(counts)
-    pooled_config = scenario.sim_config(n_slots=n_slots * replicas, seed=base_seed)
+    pooled_config = replace(configs[0], n_slots=sum(c.n_slots for c in configs))
     header = ("quantity", "estimate", "std_err", "analytic", "z_score")
     rows = _estimate_rows(pooled, pooled_config)
 
     extra_tables = ()
     json_payload = None
-    if replicas > 1:
+    if args.replicas > 1:
         rep_header = ("replica",) + ESTIMATE_QUANTITIES
         rep_rows = []
-        for i, c in enumerate(counts):
-            est = estimate_metrics(c, configs[i])
+        for i, (c, cfg) in enumerate(zip(counts, configs)):
+            est = estimate_metrics(c, cfg)
             rep_rows.append((i,) + tuple(
                 getattr(est, q).value if getattr(est, q) is not None else None
                 for q in ESTIMATE_QUANTITIES))
@@ -310,20 +343,15 @@ def _cmd_sweep(args) -> int:
     else:
         header = (args.param, "p_s", "psnr", "qber")
 
-    sim_ests = [None] * len(values)
+    sim_cells = [()] * len(values)
     if args.simulate:
-        base_seed = _resolve_seed(args.seed, scenarios[0].simulation["seed"])
-        configs = []
-        for i, sc in enumerate(scenarios):
-            n_slots = args.slots if args.slots is not None else sc.simulation["n_slots"]
-            configs.append(sc.sim_config(n_slots=n_slots, seed=derive_seed(base_seed, i)))
-        counts = _run_many(configs, args.workers)
-        sim_ests = [estimate_metrics(c, cfg) for c, cfg in zip(counts, configs)]
-        header = header + ("sim_p_t", "sim_p_t_se", "sim_p_cond", "sim_p_cond_se",
-                           "sim_psnr", "sim_psnr_se", "sim_qber", "sim_qber_se")
+        configs, counts = _run_jobs(args, [(sc, i) for i, sc in enumerate(scenarios)])
+        sim_cells = [_sim_cells(c, cfg, SWEEP_SIM_QUANTITIES)
+                     for c, cfg in zip(counts, configs)]
+        header += _sim_header(SWEEP_SIM_QUANTITIES)
 
     rows = []
-    for v, sc, est in zip(values, scenarios, sim_ests):
+    for v, sc, cells in zip(values, scenarios, sim_cells):
         metrics = link_metrics(sc.source, sc.channel)
         if is_hps:
             baseline = link_metrics(SourceSpec.wcs(sc.source.mu), sc.channel)
@@ -333,11 +361,7 @@ def _cmd_sweep(args) -> int:
                    metrics.rate_penalty, baseline.psnr, baseline.qber)
         else:
             row = (v, metrics.p_s, metrics.psnr, metrics.qber)
-        if est is not None:
-            for q in ("p_t", "p_cond", "psnr", "qber"):
-                e = getattr(est, q)
-                row = row + ((e.value, e.std_err) if e is not None else (None, None))
-        rows.append(row)
+        rows.append(row + cells)
     _emit(args, header, rows)
     return 0
 
@@ -472,30 +496,21 @@ def _cmd_wdm(args) -> int:
     except ValueError as exc:
         raise ScenarioError("plan", f"{plan_path}: {exc}") from exc
 
-    sim = None
-    if args.simulate:
-        seed = _resolve_seed(args.seed, scenario.simulation["seed"])
-        n_slots = args.slots if args.slots is not None else scenario.simulation["n_slots"]
-        sim = scenario.sim_config(seed=seed, n_slots=n_slots)
-    agg = aggregate(plan, scenario.source, scenario.channel, scenario.detector, sim=sim)
-
+    agg = aggregate(plan, scenario.source, scenario.channel, scenario.detector)
     header = ("channel", "wavelength_nm", "p_t", "p_cond", "psnr", "qber", "rate_hz")
-    if sim is not None:
-        header = header + ("sim_p_t", "sim_p_t_se", "sim_p_cond", "sim_p_cond_se",
-                           "sim_qber", "sim_qber_se")
-    rows = []
-    for row in agg.per_channel:
-        m = row.metrics
-        cells = (row.channel.index, row.wavelength_nm, m.p_t, m.p_cond,
-                 m.psnr, m.qber, row.rate_hz)
-        if sim is not None:
-            for q in ("p_t", "p_cond", "qber"):
-                e = getattr(row.estimate, q)
-                cells = cells + ((e.value, e.std_err) if e is not None else (None, None))
-        rows.append(cells)
+    rows = [(row.channel.index, row.wavelength_nm, row.metrics.p_t, row.metrics.p_cond,
+             row.metrics.psnr, row.metrics.qber, row.rate_hz) for row in agg.per_channel]
     totals = ("total", None, None, None, None, agg.mean_qber, agg.total_rate_hz)
-    if sim is not None:
-        totals = totals + (None,) * 6
+    if args.simulate:
+        # run index = channel index, so no estimate depends on plan order
+        jobs = [(replace(scenario, source=row.source, channel=row.channel_spec),
+                 row.channel.index) for row in agg.per_channel]
+        configs, counts = _run_jobs(args, jobs)
+        rows = [cells + _sim_cells(c, cfg, WDM_SIM_QUANTITIES)
+                for cells, c, cfg in zip(rows, counts, configs)]
+        sim_columns = _sim_header(WDM_SIM_QUANTITIES)
+        header += sim_columns
+        totals += (None,) * len(sim_columns)
     rows.append(totals)
     _emit(args, header, rows)
     return 0
@@ -530,7 +545,8 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_int_arg, default=None,
                         help="base RNG seed (beats HERALDSIM_SEED and the scenario)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="run independent simulations in N worker processes")
+                        help="run independent simulations in up to N worker processes "
+                             "(at most one per job and per CPU)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo estimates vs the closed forms")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--replicas", type=_int_arg, default=1,
-                   help="independent runs pooled into the estimates")
+                   help=f"independent runs pooled into the estimates (1 to {MAX_REPLICAS})")
     _add_sim_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_simulate)
@@ -599,14 +615,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SaturationError, CalibrationError, InfeasibleError,
-            UndefinedConditionalError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -196,21 +196,19 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Gated detector timing: pulse clock, deadtime, and gate width."""
+    """Gated detector timing: pulse clock and deadtime."""
 
     pulse_rate_hz: float
     deadtime_s: float = 0.0
-    gate_width_s: float = 2.5e-9
 
     def __post_init__(self) -> None:
         if not (isinstance(self.pulse_rate_hz, (int, float))
                 and math.isfinite(self.pulse_rate_hz) and self.pulse_rate_hz > 0.0):
             raise ValueError(f"pulse_rate_hz must be finite and > 0, got {self.pulse_rate_hz!r}")
-        for name in ("deadtime_s", "gate_width_s"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        v = self.deadtime_s
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
+            raise ValueError(f"deadtime_s must be finite and >= 0, got {v!r}")
+        object.__setattr__(self, "deadtime_s", float(v))
         object.__setattr__(self, "pulse_rate_hz", float(self.pulse_rate_hz))
 
 
@@ -359,8 +357,6 @@ def qber_exact(p_qkd: float, p_noise: float) -> float:
     p_error = (1.0 - p_qkd) * p_noise / 2.0 + p_qkd * p_noise / 4.0
     p_noerror = (1.0 - p_qkd) * p_noise / 2.0 + p_qkd * (1.0 - p_noise / 4.0)
     total = p_error + p_noerror
-    # total detection probability must equal p_qkd + (1 - p_qkd) * p_noise
-    assert abs(total - (p_qkd + (1.0 - p_qkd) * p_noise)) <= 1e-12
     if total == 0.0:
         return 0.0
     return p_error / total

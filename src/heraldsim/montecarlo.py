@@ -37,7 +37,6 @@ __all__ = [
     "estimate_metrics",
     "analytic_predictions",
     "analytic_std_errs",
-    "herald_rate_with_deadtime",
 ]
 
 NOISE_MODELS = ("bernoulli-per-gate", "poisson-per-gate")
@@ -559,11 +558,3 @@ def analytic_std_errs(config: SimConfig) -> dict[str, float | None]:
                     + 2.0 * (1.0 - p2) / exp_n2)
 
     return out
-
-
-def herald_rate_with_deadtime(config: SimConfig) -> float:
-    """Observed herald rate in Hz from a deadtime-limited simulation."""
-    if not config.apply_herald_deadtime:
-        raise ValueError("herald_rate_with_deadtime requires apply_herald_deadtime=True")
-    counts = simulate(config)
-    return counts.heralds / counts.slots * config.detector.pulse_rate_hz

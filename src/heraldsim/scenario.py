@@ -4,7 +4,9 @@ A scenario pins everything a CLI run needs.  Field names carry explicit
 units (``alpha_s_db``, ``deadtime_s``); transmittances may be given
 either linear (``alpha_r``) or in dB (``alpha_r_db``), never both.
 Validation reports the dotted path of the offending field so errors in
-nested fragments stay findable.
+nested fragments stay findable.  This module checks only JSON shape and
+types; value ranges and cross-field rules belong to the domain objects
+it builds, whose errors it tags with the field path.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import ChannelSpec, DetectorSpec, SourceSpec, Transmittance, db_to_linear
-from .montecarlo import NOISE_MODELS, SimConfig
+from .montecarlo import SimConfig
 
 __all__ = ["ScenarioError", "Scenario", "SCENARIO_DEFAULTS", "load_scenario_dict",
            "build_scenario", "load_scenario", "numeric_leaf_paths", "set_path"]
@@ -32,7 +34,7 @@ class ScenarioError(ValueError):
 
 SCENARIO_DEFAULTS: dict = {
     "channel": {"alpha_r_db": 0.0, "alpha_d_db": 0.0, "p_noise": 0.0},
-    "detector": {"pulse_rate_hz": 48.7e6, "deadtime_s": 10e-6, "gate_width_s": 2.5e-9},
+    "detector": {"pulse_rate_hz": 48.7e6, "deadtime_s": 10e-6},
     "simulation": {
         "n_slots": 1_000_000,
         "seed": 0,
@@ -47,7 +49,7 @@ SCENARIO_DEFAULTS: dict = {
 _SECTION_KEYS = {
     "source": {"kind", "mu", "alpha_s", "alpha_s_db", "beta", "beta_db"},
     "channel": {"alpha_r", "alpha_r_db", "alpha_d", "alpha_d_db", "p_noise"},
-    "detector": {"pulse_rate_hz", "deadtime_s", "gate_width_s"},
+    "detector": set(SCENARIO_DEFAULTS["detector"]),
     "simulation": set(SCENARIO_DEFAULTS["simulation"]),
 }
 
@@ -85,6 +87,21 @@ def _boolean(path: str, value) -> bool:
     if not isinstance(value, bool):
         raise ScenarioError(path, f"must be true or false, got {value!r}")
     return value
+
+
+def _construct(section: str, cls, **fields):
+    """Build ``cls(**fields)``, tagging a ValueError with the field it names.
+
+    The domain objects start each message with the field's name.
+    """
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        message = str(exc)
+        name, _, rest = message.partition(" ")
+        if name in fields:
+            raise ScenarioError(f"{section}.{name}", rest) from exc
+        raise ScenarioError(section, message) from exc
 
 
 def _transmittance(section: dict, section_path: str, name: str,
@@ -173,17 +190,15 @@ def build_scenario(merged: dict) -> Scenario:
     if "mu" not in src_raw:
         raise ScenarioError("source.mu", "missing")
     mu = _number("source.mu", src_raw["mu"])
-    if mu < 0.0:
-        raise ScenarioError("source.mu", f"must be >= 0, got {mu}")
+    alpha_s = beta = None
     if kind == "wcs":
         for name in ("alpha_s", "alpha_s_db", "beta", "beta_db"):
             if name in src_raw:
                 raise ScenarioError(f"source.{name}", "not allowed for a WCS")
-        source = SourceSpec.wcs(mu)
     else:
         alpha_s = _transmittance(src_raw, "source", "alpha_s", required=True)
         beta = _transmittance(src_raw, "source", "beta", required=True)
-        source = SourceSpec.hps(mu, alpha_s, beta)
+    source = _construct("source", SourceSpec, kind=kind, mu=mu, alpha_s=alpha_s, beta=beta)
 
     ch_raw = _require_object("channel", merged.get("channel", {}))
     _check_keys("channel", ch_raw, _SECTION_KEYS["channel"])
@@ -194,41 +209,24 @@ def build_scenario(merged: dict) -> Scenario:
     alpha_r = _transmittance(ch_raw, "channel", "alpha_r", required=True)
     alpha_d = _transmittance(ch_raw, "channel", "alpha_d", required=True)
     p_noise = _number("channel.p_noise", ch_raw.get("p_noise", 0.0))
-    if not 0.0 <= p_noise < 1.0:
-        raise ScenarioError("channel.p_noise", f"must be in [0, 1), got {p_noise}")
-    channel = ChannelSpec(alpha_r, alpha_d, p_noise)
+    channel = _construct("channel", ChannelSpec, alpha_r=alpha_r, alpha_d=alpha_d,
+                         p_noise=p_noise)
 
     det_raw = _require_object("detector", merged.get("detector", {}))
     _check_keys("detector", det_raw, _SECTION_KEYS["detector"])
     det_raw = {**SCENARIO_DEFAULTS["detector"], **det_raw}
-    try:
-        detector = DetectorSpec(
-            pulse_rate_hz=_number("detector.pulse_rate_hz", det_raw["pulse_rate_hz"]),
-            deadtime_s=_number("detector.deadtime_s", det_raw["deadtime_s"]),
-            gate_width_s=_number("detector.gate_width_s", det_raw["gate_width_s"]),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError("detector", str(exc)) from exc
+    detector = _construct(
+        "detector", DetectorSpec,
+        pulse_rate_hz=_number("detector.pulse_rate_hz", det_raw["pulse_rate_hz"]),
+        deadtime_s=_number("detector.deadtime_s", det_raw["deadtime_s"]))
 
     sim_raw = _require_object("simulation", merged.get("simulation", {}))
     _check_keys("simulation", sim_raw, _SECTION_KEYS["simulation"])
     sim_raw = {**SCENARIO_DEFAULTS["simulation"], **sim_raw}
-    n_slots = _integer("simulation.n_slots", sim_raw["n_slots"])
-    if n_slots <= 0:
-        raise ScenarioError("simulation.n_slots", f"must be > 0, got {n_slots}")
-    seed = _integer("simulation.seed", sim_raw["seed"])
-    if not 0 <= seed < 2 ** 64:
-        raise ScenarioError("simulation.seed", f"must fit in 64 unsigned bits, got {seed}")
-    noise_model = sim_raw["noise_model"]
-    if noise_model not in NOISE_MODELS:
-        raise ScenarioError("simulation.noise_model",
-                            f"must be one of {list(NOISE_MODELS)}, got {noise_model!r}")
     simulation = {
-        "n_slots": n_slots,
-        "seed": seed,
-        "noise_model": noise_model,
+        "n_slots": _integer("simulation.n_slots", sim_raw["n_slots"]),
+        "seed": _integer("simulation.seed", sim_raw["seed"]),
+        "noise_model": sim_raw["noise_model"],
         "apply_herald_deadtime": _boolean("simulation.apply_herald_deadtime",
                                           sim_raw["apply_herald_deadtime"]),
         "hbt_enabled": _boolean("simulation.hbt_enabled", sim_raw["hbt_enabled"]),
@@ -237,11 +235,8 @@ def build_scenario(merged: dict) -> Scenario:
         "apply_receiver_deadtime": _boolean("simulation.apply_receiver_deadtime",
                                             sim_raw["apply_receiver_deadtime"]),
     }
-    if simulation["apply_herald_deadtime"] and kind == "wcs":
-        raise ScenarioError("simulation.apply_herald_deadtime",
-                            "requires an HPS source; a WCS has no herald detector")
-    if simulation["hbt_noise_coupling"] and not simulation["hbt_enabled"]:
-        raise ScenarioError("simulation.hbt_noise_coupling", "requires hbt_enabled")
+    _construct("simulation", SimConfig, source=source, channel=channel, detector=detector,
+               **simulation)
 
     plan_path = None
     if merged.get("plan") is not None:
@@ -257,7 +252,7 @@ def load_scenario(path: "str | Path") -> Scenario:
 
 
 def numeric_leaf_paths(merged: dict) -> list[str]:
-    """Dotted paths of every sweepable (numeric, non-boolean) leaf."""
+    """Dotted paths of every sweepable (numeric, non-boolean, non-seed) leaf."""
     paths = []
     for section in ("source", "channel", "detector", "simulation"):
         fragment = merged.get(section)
@@ -265,7 +260,10 @@ def numeric_leaf_paths(merged: dict) -> list[str]:
             continue
         for key in sorted(fragment):
             value = fragment[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            # a run derives every job seed from one base seed, so a swept
+            # seed would be ignored
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or (section, key) == ("simulation", "seed")):
                 continue
             paths.append(f"{section}.{key}")
     return paths
@@ -278,7 +276,7 @@ def set_path(merged: dict, dotted: str, value: float) -> dict:
                                     + ", ".join(numeric_leaf_paths(merged)))
     section, key = dotted.split(".", 1)
     out = copy.deepcopy(merged)
-    if key in ("n_slots", "seed"):
+    if key == "n_slots":
         out[section][key] = _integer(dotted, value)
     else:
         out[section][key] = value

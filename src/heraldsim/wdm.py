@@ -3,8 +3,9 @@
 A broadband spontaneous four-wave-mixing source feeds many 50 GHz-spaced
 wavelength channels at once.  This module lays out the channel grid,
 converts measured noise-count scans into per-slot noise probabilities,
-and aggregates per-channel link metrics (analytically, or from Monte
-Carlo runs with per-channel derived seeds) into plan totals.
+and rolls the closed-form per-channel link metrics up into plan totals.
+Each rollup row carries the channel's resolved source and channel specs,
+so a caller can simulate exactly the link the row describes.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from pathlib import Path
 
 from .core import (ChannelSpec, DetectorSpec, LinkMetrics, SourceSpec, Transmittance,
                    frequency_to_wavelength, link_metrics, wavelength_to_frequency)
-from .montecarlo import (MetricsEstimate, SimConfig, derive_seed, estimate_metrics,
-                         simulate)
 
 __all__ = [
     "CHANNEL_COUNT",
@@ -198,13 +197,19 @@ def load_noise_scan(path: "str | Path") -> list[NoiseScanRow]:
 
 @dataclass(frozen=True)
 class ChannelMetrics:
-    """Per-channel aggregation row."""
+    """Per-channel aggregation row.
+
+    ``source`` and ``channel_spec`` are the link this plan entry sees: the
+    base source with mu scaled by its ``sfwm_weight`` and the base channel
+    with its overrides applied.
+    """
 
     channel: WdmChannel
     wavelength_nm: float
+    source: SourceSpec
+    channel_spec: ChannelSpec
     metrics: LinkMetrics
     rate_hz: float
-    estimate: MetricsEstimate | None = None
 
 
 @dataclass(frozen=True)
@@ -228,33 +233,23 @@ def _channel_rate_per_slot(source: SourceSpec, metrics: LinkMetrics) -> float:
 
 
 def aggregate(plan: ChannelPlan, source: SourceSpec, channel: ChannelSpec,
-              detector: DetectorSpec, sim: SimConfig | None = None) -> WdmAggregate:
-    """Evaluate every plan channel against a base source/channel/detector.
+              detector: DetectorSpec) -> WdmAggregate:
+    """Closed-form metrics of every plan channel, rolled up into plan totals.
 
     Each channel sees the base source with mu scaled by its
-    ``sfwm_weight`` and the base channel with its overrides applied.
-    When ``sim`` is given, a Monte Carlo run per channel (seed derived
-    from ``sim.seed`` and the channel index, so results do not depend on
-    plan order) supplies estimated metrics alongside the analytic ones;
-    totals always come from the analytic values.
+    ``sfwm_weight`` and the base channel with its overrides applied; the
+    row records both resolved specs.  Rates are detected photons per
+    second at the detector's pulse rate.
     """
     rows = []
     total_rate = 0.0
     qber_weight = 0.0
     for chan in plan.channels:
-        if source.kind == "wcs":
-            src = SourceSpec.wcs(source.mu * chan.sfwm_weight)
-        else:
-            src = replace(source, mu=source.mu * chan.sfwm_weight)
+        src = replace(source, mu=source.mu * chan.sfwm_weight)
         ch_spec = chan.resolve(channel)
         lm = link_metrics(src, ch_spec)
         rate = _channel_rate_per_slot(src, lm) * detector.pulse_rate_hz
-        est = None
-        if sim is not None:
-            cfg = replace(sim, source=src, channel=ch_spec, detector=detector,
-                          seed=derive_seed(sim.seed, chan.index))
-            est = estimate_metrics(simulate(cfg), cfg)
-        rows.append(ChannelMetrics(chan, chan.center_wavelength_nm, lm, rate, est))
+        rows.append(ChannelMetrics(chan, chan.center_wavelength_nm, src, ch_spec, lm, rate))
         total_rate += rate
         qber_weight += rate * lm.qber
     mean_qber = qber_weight / total_rate if total_rate > 0.0 else None

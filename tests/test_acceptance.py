@@ -17,8 +17,7 @@ from heraldsim.core import (ChannelSpec, DetectorSpec, SourceSpec, Transmittance
                             g2_predicted, linear_to_db, link_metrics, psnr_gain,
                             qber_from_psnr, rate_penalty, wcs_detection_prob)
 from heraldsim.montecarlo import (SimConfig, analytic_predictions, analytic_std_errs,
-                                  derive_seed, estimate_metrics,
-                                  herald_rate_with_deadtime, simulate)
+                                  derive_seed, estimate_metrics, simulate)
 from heraldsim.wdm import channel_wavelength
 
 REF_DETECTOR = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=10e-6)
@@ -229,7 +228,8 @@ def test_criterion_08_deadtime_fixed_point():
         seed=DEADTIME_SEED,
         apply_herald_deadtime=True,
     )
-    rate = herald_rate_with_deadtime(cfg)
+    counts = simulate(cfg)
+    rate = counts.heralds / counts.slots * cfg.detector.pulse_rate_hz
     rate_se = analytic_std_errs(cfg)["herald_rate_hz"]
     recovered = beta_mu_from_rate(MeasuredCounts(rate, REF_DETECTOR))
     # the recovery inherits the rate's sampling error through the inverse map

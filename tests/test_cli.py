@@ -4,9 +4,11 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 
+from heraldsim import cli
 from heraldsim.cli import main
 from heraldsim.core import Transmittance
 
@@ -177,6 +179,84 @@ class TestSimulate:
                             "--format", "json")
         assert code == 0
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--replicas", "0"), ("--replicas", str(cli.MAX_REPLICAS + 1)),
+        ("--slots", "0"), ("--workers", "0"), ("--workers", "-3")])
+    def test_resource_flag_out_of_range_names_flag(self, capsys, tmp_path, flag, value):
+        path = _scenario(tmp_path, simulation={"n_slots": 1_000})
+        code, out, err = _run(capsys, "simulate", path, flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}:")
+
+    def test_max_replicas_accepted(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_REPLICAS", 3)
+        path = _scenario(tmp_path, simulation={"n_slots": 1_000})
+        assert _run(capsys, "simulate", path, "--replicas", "3", "--format", "csv")[0] == 0
+        assert _run(capsys, "simulate", path, "--replicas", "4")[0] == 2
+
+
+class TestWorkers:
+    def test_pool_size_is_clamped(self, monkeypatch):
+        # pure arithmetic: no pool is started for any of these
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert cli._pool_size(10 ** 6, 3) == 3
+        assert cli._pool_size(10 ** 6, 10 ** 6) == 4
+        assert cli._pool_size(2, 10 ** 6) == 2
+        assert cli._pool_size(1, 8) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._pool_size(10 ** 6, 8) == 1
+
+    def test_wdm_simulate_uses_the_pool(self, capsys, tmp_path, monkeypatch):
+        built = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        scenario = _scenario(tmp_path, simulation={"n_slots": 5_000, "seed": 5})
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"channels": [{"index": 11}, {"index": 16}]}),
+                        encoding="utf-8")
+        argv = ["wdm", str(plan), scenario, "--simulate", "--format", "csv"]
+        _, serial, _ = _run(capsys, *argv)
+        assert built == []
+        _, pooled, _ = _run(capsys, *argv, "--workers", "2")
+        assert built == [2]
+        _, clamped, _ = _run(capsys, *argv, "--workers", "8")
+        assert built == [2, 2]
+        assert serial == pooled == clamped
+
+    def test_sweep_simulate_worker_count_invariant(self, capsys, tmp_path):
+        path = _scenario(tmp_path, simulation={"n_slots": 20_000, "seed": 8})
+        argv = ["sweep", path, "--param", "source.mu", "--from", "0.05", "--to", "0.3",
+                "--steps", "3", "--simulate", "--format", "csv"]
+        _, one, _ = _run(capsys, *argv, "--workers", "1")
+        _, two, _ = _run(capsys, *argv, "--workers", "2")
+        assert one == two
+
+    def test_wdm_simulate_worker_count_invariant(self, capsys, tmp_path):
+        scenario = _scenario(tmp_path, channel={"alpha_r_db": -6.5},
+                             simulation={"n_slots": 20_000, "seed": 8})
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"channels": [{"index": 1, "sfwm_weight": 0.8},
+                                                 {"index": 11, "p_noise": 1e-3}]}),
+                        encoding="utf-8")
+        argv = ["wdm", str(plan), scenario, "--simulate", "--format", "csv"]
+        _, one, _ = _run(capsys, *argv, "--workers", "1")
+        _, two, _ = _run(capsys, *argv, "--workers", "2")
+        assert one == two
+
 
 class TestSweep:
     def test_param_is_first_column(self, capsys, tmp_path):
@@ -269,6 +349,13 @@ class TestSweep:
                               "--from", "0.1", "--to", "0.2", "--steps", "2")
         assert code == 2
         assert "source.mu" in err
+
+    def test_swept_seed_rejected(self, capsys, tmp_path):
+        path = _scenario(tmp_path, simulation={"n_slots": 1_000})
+        code, out, err = _run(capsys, "sweep", path, "--param", "simulation.seed",
+                              "--from", "1", "--to", "5", "--steps", "2", "--simulate")
+        assert code == 2 and out == ""
+        assert "not a sweepable parameter" in err and "source.mu" in err
 
     def test_zero_steps_rejected(self, capsys, tmp_path):
         path = _scenario(tmp_path)
@@ -423,6 +510,19 @@ class TestWdm:
         _, out_b, _ = _run(capsys, "wdm", plan, scenario, "--simulate",
                            "--format", "csv")
         assert out_a == out_b
+
+    def test_simulate_independent_of_plan_order(self, capsys, tmp_path):
+        scenario = _scenario(tmp_path, channel={"alpha_r_db": -6.5},
+                             simulation={"n_slots": 100_000, "seed": 5})
+        entries = [{"index": 11, "sfwm_weight": 0.9}, {"index": 21, "p_noise": 1e-3}]
+        forward = self._plan(tmp_path, entries, name="forward.json")
+        backward = self._plan(tmp_path, entries[::-1], name="backward.json")
+        _, out_f, _ = _run(capsys, "wdm", forward, scenario, "--simulate",
+                           "--format", "csv")
+        _, out_b, _ = _run(capsys, "wdm", backward, scenario, "--simulate",
+                           "--format", "csv")
+        assert float(_parse_csv(out_f)[1][0]["sim_p_t"]) > 0.0
+        assert out_f == out_b
 
     def test_fig7_noise_overrides(self, capsys, tmp_path):
         # per-channel p_noise values that pin the WCS baseline PSNR at the

@@ -13,8 +13,7 @@ import pytest
 from heraldsim.core import ChannelSpec, DetectorSpec, SourceSpec, Transmittance
 from heraldsim.montecarlo import (NOISE_MODELS, Estimate, RunCounts, SimConfig,
                                   analytic_predictions, analytic_std_errs,
-                                  derive_seed, estimate_metrics,
-                                  herald_rate_with_deadtime, simulate)
+                                  derive_seed, estimate_metrics, simulate)
 
 REF_DETECTOR = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=10e-6)
 NO_DEADTIME = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=0.0)
@@ -238,19 +237,6 @@ class TestHeraldDeadtime:
         counts = simulate(gated)
         est = estimate_metrics(counts, gated)
         assert abs(est.p_cond.value - p_free) < 4 * est.p_cond.std_err
-
-    def test_wrapper_requires_flag(self):
-        cfg = _config(detector=REF_DETECTOR)
-        with pytest.raises(ValueError):
-            herald_rate_with_deadtime(cfg)
-
-    def test_wrapper_returns_rate(self):
-        cfg = _config(detector=REF_DETECTOR, n_slots=1_000_000, seed=13,
-                      apply_herald_deadtime=True)
-        rate = herald_rate_with_deadtime(cfg)
-        counts = simulate(cfg)
-        assert rate == pytest.approx(
-            counts.heralds / counts.slots * REF_DETECTOR.pulse_rate_hz, rel=1e-12)
 
 
 class TestReceiverDeadtime:

@@ -132,6 +132,26 @@ class TestValidationPaths:
                              "simulation": {"n_slots": -5}})
         assert exc.value.path == "simulation.n_slots"
 
+    def test_negative_mu(self, tmp_path):
+        with pytest.raises(ScenarioError) as exc:
+            _load(tmp_path, {"source": dict(HPS_SOURCE, mu=-0.1)})
+        assert exc.value.path == "source.mu"
+
+    def test_p_noise_must_be_a_number(self, tmp_path):
+        with pytest.raises(ScenarioError) as exc:
+            _load(tmp_path, {"source": HPS_SOURCE, "channel": {"p_noise": False}})
+        assert exc.value.path == "channel.p_noise"
+
+    def test_negative_deadtime(self, tmp_path):
+        with pytest.raises(ScenarioError) as exc:
+            _load(tmp_path, {"source": HPS_SOURCE, "detector": {"deadtime_s": -1e-6}})
+        assert exc.value.path == "detector.deadtime_s"
+
+    def test_seed_beyond_64_bits(self, tmp_path):
+        with pytest.raises(ScenarioError) as exc:
+            _load(tmp_path, {"source": HPS_SOURCE, "simulation": {"seed": 2 ** 64}})
+        assert exc.value.path == "simulation.seed"
+
 
 class TestSweepPaths:
     def test_numeric_leaf_paths(self, tmp_path):
@@ -157,6 +177,13 @@ class TestSweepPaths:
         out = set_path(merged, "simulation.n_slots", 2e5)
         assert out["simulation"]["n_slots"] == 200_000
         assert isinstance(out["simulation"]["n_slots"], int)
+
+    def test_seed_is_not_sweepable(self, tmp_path):
+        merged = load_scenario_dict(_write(tmp_path, {"source": HPS_SOURCE}))
+        assert "simulation.seed" not in numeric_leaf_paths(merged)
+        with pytest.raises(ScenarioError, match="simulation.n_slots") as exc:
+            set_path(merged, "simulation.seed", 3.0)
+        assert exc.value.path == "simulation.seed"
 
     def test_set_path_unknown_lists_valid(self, tmp_path):
         merged = load_scenario_dict(_write(tmp_path, {"source": HPS_SOURCE}))

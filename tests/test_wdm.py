@@ -6,7 +6,6 @@ import pytest
 
 from heraldsim.core import (ChannelSpec, DetectorSpec, SourceSpec, Transmittance,
                             link_metrics)
-from heraldsim.montecarlo import SimConfig
 from heraldsim.wdm import (ANCHOR_WAVELENGTH_NM, CHANNEL_COUNT,
                            CHANNEL_SPACING_HZ, NOISE_SCAN_COLUMNS, ChannelPlan,
                            NoiseScanRow, WdmChannel, aggregate,
@@ -201,27 +200,15 @@ class TestAggregate:
         assert agg.mean_qber == pytest.approx(expected, rel=1e-12)
         assert rows[0].metrics.qber < agg.mean_qber < rows[1].metrics.qber
 
-    def test_simulated_estimates_independent_of_plan_order(self):
-        sim = SimConfig(source=REF_SOURCE, channel=REF_CHANNEL,
-                        detector=REF_DETECTOR, n_slots=200_000, seed=5)
-        forward = ChannelPlan((WdmChannel(11), WdmChannel(21)))
-        # same entries, construction order reversed
-        backward = ChannelPlan((WdmChannel(21), WdmChannel(11)))
-        agg_f = aggregate(forward, REF_SOURCE, REF_CHANNEL, REF_DETECTOR, sim=sim)
-        agg_b = aggregate(backward, REF_SOURCE, REF_CHANNEL, REF_DETECTOR, sim=sim)
-        for row_f, row_b in zip(agg_f.per_channel, agg_b.per_channel):
-            assert row_f.channel.index == row_b.channel.index
-            assert row_f.estimate == row_b.estimate
+    def test_rows_record_resolved_link(self):
+        plan = ChannelPlan((WdmChannel(1, sfwm_weight=0.5, p_noise=1e-3),))
+        row = aggregate(plan, REF_SOURCE, REF_CHANNEL, REF_DETECTOR).per_channel[0]
+        assert row.source.mu == pytest.approx(REF_SOURCE.mu * 0.5, rel=1e-15)
+        assert row.source.beta == REF_SOURCE.beta
+        assert row.channel_spec == ChannelSpec(REF_CHANNEL.alpha_r, REF_CHANNEL.alpha_d, 1e-3)
+        assert row.metrics == link_metrics(row.source, row.channel_spec)
 
-    def test_simulated_estimates_deterministic(self):
-        sim = SimConfig(source=REF_SOURCE, channel=REF_CHANNEL,
-                        detector=REF_DETECTOR, n_slots=200_000, seed=5)
-        plan = ChannelPlan((WdmChannel(11),))
-        a = aggregate(plan, REF_SOURCE, REF_CHANNEL, REF_DETECTOR, sim=sim)
-        b = aggregate(plan, REF_SOURCE, REF_CHANNEL, REF_DETECTOR, sim=sim)
-        assert a.per_channel[0].estimate == b.per_channel[0].estimate
-
-    def test_analytic_rows_have_no_estimate(self):
-        agg = aggregate(ChannelPlan((WdmChannel(1),)),
-                        REF_SOURCE, REF_CHANNEL, REF_DETECTOR)
-        assert agg.per_channel[0].estimate is None
+    def test_wcs_rows_stay_wcs(self):
+        plan = ChannelPlan((WdmChannel(1, sfwm_weight=0.5),))
+        row = aggregate(plan, SourceSpec.wcs(0.11), REF_CHANNEL, REF_DETECTOR).per_channel[0]
+        assert row.source == SourceSpec.wcs(0.055)
