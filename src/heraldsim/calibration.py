@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DetectorSpec, SourceSpec, Transmittance, _as_transmittance
+from .core import DetectorSpec, SourceSpec, Transmittance, _as_transmittance, _real
 
 __all__ = [
     "SaturationError",
@@ -63,10 +63,8 @@ class MeasuredCounts:
     g2: float | None = None
 
     def __post_init__(self) -> None:
-        r = self.herald_rate_hz
-        if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 0.0):
-            raise ValueError(f"herald_rate_hz must be finite and >= 0, got {r!r}")
-        object.__setattr__(self, "herald_rate_hz", float(r))
+        object.__setattr__(self, "herald_rate_hz",
+                           _real("herald_rate_hz", self.herald_rate_hz, 0.0))
         if not isinstance(self.detector, DetectorSpec):
             raise ValueError("detector must be a DetectorSpec")
         # beyond this the deadtime correction diverges
@@ -76,10 +74,7 @@ class MeasuredCounts:
                 f"{self.herald_rate_hz * self.detector.deadtime_s:.6g} >= 1; "
                 "the detector spends all its time dead")
         if self.g2 is not None:
-            g = self.g2
-            if not (isinstance(g, (int, float)) and math.isfinite(g) and 0.0 <= g < 1.0):
-                raise ValueError(f"g2 must be in [0, 1) for a heralded source, got {g!r}")
-            object.__setattr__(self, "g2", float(g))
+            object.__setattr__(self, "g2", _real("g2", self.g2, 0.0, 1.0, hi_open=True))
 
 
 def beta_mu_from_rate(measured: MeasuredCounts) -> float:
@@ -116,11 +111,8 @@ def mu_from_g2(g2: float, beta_mu: float) -> float:
     ``mu = -1 + sqrt(1 + s)``, written below in a form that does not
     cancel for small s.  Monotonically increasing in g2.
     """
-    if not (isinstance(g2, (int, float)) and math.isfinite(g2) and 0.0 <= g2 < 1.0):
-        raise ValueError(f"g2 must be in [0, 1), got {g2!r}")
-    if not (isinstance(beta_mu, (int, float)) and math.isfinite(beta_mu) and beta_mu >= 0.0):
-        raise ValueError(f"beta_mu must be finite and >= 0, got {beta_mu!r}")
-    s = beta_mu + g2 / (1.0 - g2)
+    g2 = _real("g2", g2, 0.0, 1.0, hi_open=True)
+    s = _real("beta_mu", beta_mu, 0.0) + g2 / (1.0 - g2)
     return s / (1.0 + math.sqrt(1.0 + s))
 
 
@@ -150,7 +142,7 @@ def calibrate_source(
     should be replaced with the measured signal-arm loss before link
     analysis.
     """
-    beta = _as_transmittance(beta)
+    beta = _as_transmittance("beta", beta)
     beta_mu = beta_mu_from_rate(measured)
     mu_rate = beta_mu / beta.value
     mu_g2 = None
@@ -167,7 +159,7 @@ def calibrate_source(
             if mismatch > MISMATCH_WARN:
                 warning = (f"mu estimates disagree by {mismatch:.1%} "
                            f"(rate: {mu_rate:.4g}, g2: {mu_g2:.4g})")
-    source = SourceSpec.hps(mu_rate, _as_transmittance(alpha_s), beta)
+    source = SourceSpec.hps(mu_rate, alpha_s, beta)
     return CalibrationResult(source, beta_mu, mu_rate, mu_g2, mismatch, warning)
 
 
@@ -184,9 +176,7 @@ def solve_channel_loss(measured_p_cond: float, source: SourceSpec,
     """
     from .core import _conditional_detection, heralding_efficiency
 
-    if not (isinstance(measured_p_cond, (int, float)) and math.isfinite(measured_p_cond)
-            and 0.0 < measured_p_cond <= 1.0):
-        raise ValueError(f"measured_p_cond must be in (0, 1], got {measured_p_cond!r}")
+    measured_p_cond = _real("measured_p_cond", measured_p_cond, 0.0, 1.0, lo_open=True)
     ceiling = heralding_efficiency(source)
     if measured_p_cond > ceiling:
         raise InfeasibleError(

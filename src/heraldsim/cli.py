@@ -33,9 +33,9 @@ from pathlib import Path
 from .calibration import (ConvergenceError, MeasuredCounts, beta_mu_from_rate,
                           calibrate_source, mu_from_g2)
 from .core import (DEFAULT_REPORTING_LOSS, ChannelSpec, DetectorSpec, SourceSpec,
-                   Transmittance, g2_predicted, linear_to_db, link_metrics,
+                   Transmittance, _integer, g2_predicted, linear_to_db, link_metrics,
                    psnr_gain_approx, qber_from_psnr, wcs_detection_prob)
-from .montecarlo import (RunCounts, analytic_predictions, analytic_std_errs,
+from .montecarlo import (_MASK64, RunCounts, analytic_predictions, analytic_std_errs,
                          derive_seed, estimate_metrics, simulate)
 from .scenario import (Scenario, ScenarioError, build_scenario,
                        load_scenario_dict, set_path)
@@ -169,6 +169,41 @@ def _emit(args, header: tuple, rows: list, *, notes: tuple = (),
         sys.stdout.write(text)
 
 
+def _bounded(flag: str, value, lo: int, hi: float) -> int:
+    """``value`` if it is an integer in [lo, hi], else an error naming ``flag``."""
+    try:
+        return _integer(flag, value, lo, hi)
+    except ValueError as exc:
+        raise ScenarioError(flag, str(exc).partition(" ")[2]) from None
+
+
+def _check_flags(args) -> None:
+    """Bound every integer flag the command takes, before any work.
+
+    ``--slots``, ``--workers`` and ``--seed`` act only on simulations, so
+    ``sweep`` and ``wdm`` refuse them without ``--simulate``.  A simulating
+    command without ``--seed`` takes its base seed from ``HERALDSIM_SEED``
+    here, if that is set.
+    """
+    simulating = getattr(args, "simulate", True)
+    bounds = (("steps", 1, math.inf), ("replicas", 1, MAX_REPLICAS),
+              ("slots", 1, math.inf), ("workers", 1, math.inf), ("seed", 0, _MASK64))
+    for dest, lo, hi in bounds:
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if dest in ("slots", "workers", "seed") and not simulating:
+            raise ScenarioError(f"--{dest}", "has no effect without --simulate")
+        _bounded(f"--{dest}", value, lo, hi)
+    env = os.environ.get(SEED_ENV)
+    if "seed" in vars(args) and simulating and args.seed is None and env is not None:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ScenarioError(SEED_ENV, f"must be an integer, got {env!r}") from None
+        args.seed = _bounded(SEED_ENV, seed, 0, _MASK64)
+
+
 def _pool_size(workers: int, n_jobs: int) -> int:
     """Worker processes for a run: never more than its jobs or the CPUs."""
     return min(workers, n_jobs, os.cpu_count() or 1)
@@ -177,23 +212,13 @@ def _pool_size(workers: int, n_jobs: int) -> int:
 def _run_jobs(args, jobs: list) -> tuple[list, list]:
     """Simulate ``(scenario, run index)`` jobs; return their configs and counts.
 
-    The base seed is ``--seed``, else ``HERALDSIM_SEED``, else the first
-    job's scenario seed.  Each job runs ``derive_seed(base, run index)``
-    over ``--slots`` or its scenario's ``n_slots`` slots.  With
-    ``--workers N > 1`` the jobs share one process pool; no result
-    depends on N.
+    The base seed is ``--seed`` (or ``HERALDSIM_SEED``, see ``_check_flags``),
+    else the first job's scenario seed.  Each job runs
+    ``derive_seed(base, run index)`` over ``--slots`` or its scenario's
+    ``n_slots`` slots.  With ``--workers N > 1`` the jobs share one process
+    pool; no result depends on N.
     """
-    if args.slots is not None and args.slots < 1:
-        raise ScenarioError("--slots", f"must be >= 1, got {args.slots}")
-    if args.workers is not None and args.workers < 1:
-        raise ScenarioError("--workers", f"must be >= 1, got {args.workers}")
-    base_seed = args.seed
-    if base_seed is None:
-        env = os.environ.get(SEED_ENV)
-        try:
-            base_seed = int(env) if env is not None else jobs[0][0].simulation["seed"]
-        except ValueError:
-            raise ScenarioError(SEED_ENV, f"must be an integer, got {env!r}") from None
+    base_seed = args.seed if args.seed is not None else jobs[0][0].simulation["seed"]
     configs = [sc.sim_config(n_slots=args.slots or sc.simulation["n_slots"],
                              seed=derive_seed(base_seed, index))
                for sc, index in jobs]
@@ -280,9 +305,6 @@ def _estimate_rows(counts: RunCounts, config) -> list:
 
 
 def _cmd_simulate(args) -> int:
-    if not 1 <= args.replicas <= MAX_REPLICAS:
-        raise ScenarioError("--replicas",
-                            f"must be in [1, {MAX_REPLICAS}], got {args.replicas}")
     scenario = build_scenario(load_scenario_dict(args.scenario))
     configs, counts = _run_jobs(args, [(scenario, i) for i in range(args.replicas)])
     pooled = RunCounts.merge(counts)
@@ -313,8 +335,6 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_values(args) -> list[float]:
-    if args.steps < 1:
-        raise ScenarioError("--steps", f"must be >= 1, got {args.steps}")
     if args.steps == 1:
         return [args.start]
     if args.log:
@@ -331,10 +351,12 @@ def _cmd_sweep(args) -> int:
     values = _sweep_values(args)
     scenarios = []
     for v in values:
+        # set_path refuses an unsweepable --param at the first value, outside the try
+        fragment = set_path(merged, args.param, v)
         try:
-            scenarios.append(build_scenario(set_path(merged, args.param, v)))
+            scenarios.append(build_scenario(fragment))
         except ScenarioError as exc:
-            raise ScenarioError(exc.path, f"at {args.param}={v!r}: {exc}") from exc
+            raise ScenarioError(exc.path, f"{exc.message} (swept value {v!r})") from exc
     is_hps = scenarios[0].source.kind == "hps"
     if is_hps:
         header = (args.param, "p_s", "p_t", "p_cond", "heralding_efficiency",
@@ -524,12 +546,9 @@ def _int_arg(text: str) -> int:
     except ValueError:
         pass
     try:
-        value = float(text)
+        return _integer("value", float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if not value.is_integer():
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(value)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -614,6 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -65,32 +66,61 @@ class UndefinedConditionalError(ValueError):
     """A herald-conditioned quantity was requested but heralds never fire."""
 
 
+def _range_text(lo, hi, lo_open: bool, hi_open: bool) -> str:
+    def num(x) -> str:
+        return format(x, "g") if isinstance(x, float) else str(x)
+    if hi == math.inf:
+        return "" if lo == -math.inf else f" {'>' if lo_open else '>='} {num(lo)}"
+    return f" in {'(' if lo_open else '['}{num(lo)}, {num(hi)}{')' if hi_open else ']'}"
+
+
+def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
+          lo_open: bool = False, hi_open: bool = False) -> float:
+    """``value`` as a float if it is a finite real number between ``lo`` and ``hi``.
+
+    Bounds are inclusive unless marked open.  Anything else (a bool, a
+    string, nan, inf, a value out of range) raises ValueError with a
+    message that starts with ``name``.
+    """
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (lo < value if lo_open else lo <= value)
+            and (value < hi if hi_open else value <= hi)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number"
+                     f"{_range_text(lo, hi, lo_open, hi_open)}, got {value!r}")
+
+
+def _integer(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """``value`` as an int if it is an integer, or an integral float, in [lo, hi].
+
+    Anything else raises ValueError with a message that starts with ``name``.
+    """
+    number = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(number, int) and not isinstance(number, bool) and lo <= number <= hi:
+        return number
+    raise ValueError(f"{name} must be an integer{_range_text(lo, hi, False, False)}, "
+                     f"got {value!r}")
+
+
 def db_to_linear(db: float) -> float:
     """Convert a power ratio from dB to linear. -10 dB -> 0.1."""
-    if not math.isfinite(db):
-        raise ValueError(f"dB value must be finite, got {db}")
-    return 10.0 ** (db / 10.0)
+    return 10.0 ** (_real("db", db) / 10.0)
 
 
 def linear_to_db(ratio: float) -> float:
     """Convert a linear power ratio to dB. 0.1 -> -10 dB."""
-    if not (ratio > 0.0 and math.isfinite(ratio)):
-        raise ValueError(f"ratio must be finite and positive, got {ratio}")
-    return 10.0 * math.log10(ratio)
+    return 10.0 * math.log10(_real("ratio", ratio, 0.0, lo_open=True))
 
 
 def wavelength_to_frequency(wavelength_m: float) -> float:
     """Vacuum wavelength in meters to frequency in Hz."""
-    if not (wavelength_m > 0.0 and math.isfinite(wavelength_m)):
-        raise ValueError(f"wavelength must be finite and positive, got {wavelength_m}")
-    return SPEED_OF_LIGHT_M_S / wavelength_m
+    return SPEED_OF_LIGHT_M_S / _real("wavelength_m", wavelength_m, 0.0, lo_open=True)
 
 
 def frequency_to_wavelength(frequency_hz: float) -> float:
     """Frequency in Hz to vacuum wavelength in meters."""
-    if not (frequency_hz > 0.0 and math.isfinite(frequency_hz)):
-        raise ValueError(f"frequency must be finite and positive, got {frequency_hz}")
-    return SPEED_OF_LIGHT_M_S / frequency_hz
+    return SPEED_OF_LIGHT_M_S / _real("frequency_hz", frequency_hz, 0.0, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -100,12 +130,8 @@ class Transmittance:
     value: float
 
     def __post_init__(self) -> None:
-        v = self.value
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise ValueError(f"transmittance must be a finite number, got {v!r}")
-        if not 0.0 < v <= 1.0:
-            raise ValueError(f"transmittance must be in (0, 1], got {v}")
-        object.__setattr__(self, "value", float(v))
+        object.__setattr__(self, "value",
+                           _real("transmittance", self.value, 0.0, 1.0, lo_open=True))
 
     @classmethod
     def from_db(cls, db: float) -> "Transmittance":
@@ -116,8 +142,11 @@ class Transmittance:
         return linear_to_db(self.value)
 
 
-def _as_transmittance(x: "Transmittance | float") -> Transmittance:
-    return x if isinstance(x, Transmittance) else Transmittance(x)
+def _as_transmittance(name: str, x: "Transmittance | float") -> Transmittance:
+    """``x`` itself, or a Transmittance of it whose errors start with ``name``."""
+    if isinstance(x, Transmittance):
+        return x
+    return Transmittance(_real(name, x, 0.0, 1.0, lo_open=True))
 
 
 WCS = "wcs"
@@ -143,18 +172,16 @@ class SourceSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in (WCS, HPS):
-            raise ValueError(f"source kind must be 'wcs' or 'hps', got {self.kind!r}")
-        if not (isinstance(self.mu, (int, float)) and math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
-        object.__setattr__(self, "mu", float(self.mu))
+            raise ValueError(f"kind must be 'wcs' or 'hps', got {self.kind!r}")
+        object.__setattr__(self, "mu", _real("mu", self.mu, 0.0))
         if self.kind == WCS:
             if self.alpha_s is not None or self.beta is not None:
                 raise ValueError("a WCS has no signal-arm or herald-arm transmittance")
         else:
             if self.alpha_s is None or self.beta is None:
                 raise ValueError("an HPS requires both alpha_s and beta")
-            object.__setattr__(self, "alpha_s", _as_transmittance(self.alpha_s))
-            object.__setattr__(self, "beta", _as_transmittance(self.beta))
+            object.__setattr__(self, "alpha_s", _as_transmittance("alpha_s", self.alpha_s))
+            object.__setattr__(self, "beta", _as_transmittance("beta", self.beta))
 
     @classmethod
     def wcs(cls, mu: float) -> "SourceSpec":
@@ -163,7 +190,7 @@ class SourceSpec:
     @classmethod
     def hps(cls, mu: float, alpha_s: "Transmittance | float",
             beta: "Transmittance | float") -> "SourceSpec":
-        return cls(HPS, mu, _as_transmittance(alpha_s), _as_transmittance(beta))
+        return cls(HPS, mu, alpha_s, beta)
 
 
 @dataclass(frozen=True)
@@ -181,12 +208,10 @@ class ChannelSpec:
     p_noise: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha_r", _as_transmittance(self.alpha_r))
-        object.__setattr__(self, "alpha_d", _as_transmittance(self.alpha_d))
-        p = self.p_noise
-        if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p < 1.0):
-            raise ValueError(f"p_noise must be in [0, 1), got {p!r}")
-        object.__setattr__(self, "p_noise", float(p))
+        object.__setattr__(self, "alpha_r", _as_transmittance("alpha_r", self.alpha_r))
+        object.__setattr__(self, "alpha_d", _as_transmittance("alpha_d", self.alpha_d))
+        object.__setattr__(self, "p_noise",
+                           _real("p_noise", self.p_noise, 0.0, 1.0, hi_open=True))
 
     @property
     def loss(self) -> float:
@@ -202,14 +227,9 @@ class DetectorSpec:
     deadtime_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.pulse_rate_hz, (int, float))
-                and math.isfinite(self.pulse_rate_hz) and self.pulse_rate_hz > 0.0):
-            raise ValueError(f"pulse_rate_hz must be finite and > 0, got {self.pulse_rate_hz!r}")
-        v = self.deadtime_s
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0.0):
-            raise ValueError(f"deadtime_s must be finite and >= 0, got {v!r}")
-        object.__setattr__(self, "deadtime_s", float(v))
-        object.__setattr__(self, "pulse_rate_hz", float(self.pulse_rate_hz))
+        object.__setattr__(self, "pulse_rate_hz",
+                           _real("pulse_rate_hz", self.pulse_rate_hz, 0.0, lo_open=True))
+        object.__setattr__(self, "deadtime_s", _real("deadtime_s", self.deadtime_s, 0.0))
 
 
 def _require_kind(source: SourceSpec, kind: str, op: str) -> None:
@@ -350,10 +370,8 @@ def qber_exact(p_qkd: float, p_noise: float) -> float:
     noise coincide the detector registers one of them and errs with
     probability 1/4.  ``qber_exact(0, 0)`` is defined as 0.
     """
-    if not (isinstance(p_qkd, (int, float)) and math.isfinite(p_qkd) and 0.0 <= p_qkd <= 1.0):
-        raise ValueError(f"p_qkd must be in [0, 1], got {p_qkd!r}")
-    if not (isinstance(p_noise, (int, float)) and math.isfinite(p_noise) and 0.0 <= p_noise < 1.0):
-        raise ValueError(f"p_noise must be in [0, 1), got {p_noise!r}")
+    p_qkd = _real("p_qkd", p_qkd, 0.0, 1.0)
+    p_noise = _real("p_noise", p_noise, 0.0, 1.0, hi_open=True)
     p_error = (1.0 - p_qkd) * p_noise / 2.0 + p_qkd * p_noise / 4.0
     p_noerror = (1.0 - p_qkd) * p_noise / 2.0 + p_qkd * (1.0 - p_noise / 4.0)
     total = p_error + p_noerror
@@ -367,11 +385,9 @@ def qber_from_psnr(value: float) -> float:
 
     Accurate to 2% relative for ``p_qkd <= 0.05``; ``math.inf`` maps to 0.
     """
-    if math.isnan(value) or value < 0.0:
-        raise ValueError(f"psnr must be >= 0, got {value!r}")
-    if math.isinf(value):
+    if value == math.inf:
         return 0.0
-    return 1.0 / (2.0 * (1.0 + value))
+    return 1.0 / (2.0 * (1.0 + _real("psnr", value, 0.0)))
 
 
 def g2_predicted(source: SourceSpec) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import core
-from .core import ChannelSpec, DetectorSpec, SourceSpec, qber_exact
+from .core import ChannelSpec, DetectorSpec, SourceSpec, _integer, qber_exact
 
 __all__ = [
     "NOISE_MODELS",
@@ -68,10 +68,12 @@ class SimConfig:
     apply_receiver_deadtime: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_slots, int) or self.n_slots <= 0:
-            raise ValueError(f"n_slots must be a positive integer, got {self.n_slots!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "n_slots", _integer("n_slots", self.n_slots, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, _MASK64))
+        for flag in ("apply_herald_deadtime", "hbt_enabled", "hbt_noise_coupling",
+                     "apply_receiver_deadtime"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag} must be true or false, got {getattr(self, flag)!r}")
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}, got {self.noise_model!r}")
         if self.apply_herald_deadtime and self.source.kind == core.WCS:
@@ -115,9 +117,7 @@ class RunCounts:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{f.name} must be a nonnegative integer, got {v!r}")
+            object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name), 0))
         if self.heralds > self.slots:
             raise ValueError("heralds cannot exceed slots")
         if self.errors > self.registered_detections:
@@ -162,10 +162,8 @@ def derive_seed(seed: int, run_index: int) -> int:
     channels must reproduce bit-identically across processes and
     platforms given the same base seed and index.
     """
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    if run_index < 0:
-        raise ValueError(f"run_index must be >= 0, got {run_index!r}")
+    seed = _integer("seed", seed, 0, _MASK64)
+    run_index = _integer("run_index", run_index, 0)
     z = (seed + (run_index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

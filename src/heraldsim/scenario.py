@@ -4,20 +4,21 @@ A scenario pins everything a CLI run needs.  Field names carry explicit
 units (``alpha_s_db``, ``deadtime_s``); transmittances may be given
 either linear (``alpha_r``) or in dB (``alpha_r_db``), never both.
 Validation reports the dotted path of the offending field so errors in
-nested fragments stay findable.  This module checks only JSON shape and
-types; value ranges and cross-field rules belong to the domain objects
-it builds, whose errors it tags with the field path.
+nested fragments stay findable.  This module checks only JSON shape:
+objects, known keys, required keys.  Types, value ranges and cross-field
+rules belong to the domain objects it builds (a number must be a JSON
+number, not a boolean or a string; a flag must be true or false), whose
+errors it tags with the field path.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import ChannelSpec, DetectorSpec, SourceSpec, Transmittance, db_to_linear
+from .core import ChannelSpec, DetectorSpec, SourceSpec, Transmittance, _integer
 from .montecarlo import SimConfig
 
 __all__ = ["ScenarioError", "Scenario", "SCENARIO_DEFAULTS", "load_scenario_dict",
@@ -29,6 +30,7 @@ class ScenarioError(ValueError):
 
     def __init__(self, path: str, message: str) -> None:
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}" if path else message)
 
 
@@ -67,28 +69,6 @@ def _check_keys(path: str, section: dict, allowed: set) -> None:
                                   f"allowed: {sorted(allowed)}")
 
 
-def _number(path: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ScenarioError(path, f"must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(path: str, value) -> int:
-    if isinstance(value, bool):
-        raise ScenarioError(path, f"must be an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ScenarioError(path, f"must be an integer, got {value!r}")
-
-
-def _boolean(path: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(path, f"must be true or false, got {value!r}")
-    return value
-
-
 def _construct(section: str, cls, **fields):
     """Build ``cls(**fields)``, tagging a ValueError with the field it names.
 
@@ -116,16 +96,11 @@ def _transmittance(section: dict, section_path: str, name: str,
             raise ScenarioError(f"{section_path}.{name}",
                                 f"missing; give {name} or {name}_db")
         return None
-    if has_db:
-        path = f"{section_path}.{name}_db"
-        value = db_to_linear(_number(path, section[f"{name}_db"]))
-    else:
-        path = f"{section_path}.{name}"
-        value = _number(path, section[name])
+    key = f"{name}_db" if has_db else name
     try:
-        return Transmittance(value)
+        return Transmittance.from_db(section[key]) if has_db else Transmittance(section[key])
     except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
+        raise ScenarioError(f"{section_path}.{key}", str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -185,20 +160,18 @@ def build_scenario(merged: dict) -> Scenario:
     src_raw = _require_object("source", merged.get("source"))
     _check_keys("source", src_raw, _SECTION_KEYS["source"])
     kind = src_raw.get("kind")
-    if kind not in ("wcs", "hps"):
-        raise ScenarioError("source.kind", f"must be 'wcs' or 'hps', got {kind!r}")
     if "mu" not in src_raw:
         raise ScenarioError("source.mu", "missing")
-    mu = _number("source.mu", src_raw["mu"])
     alpha_s = beta = None
     if kind == "wcs":
         for name in ("alpha_s", "alpha_s_db", "beta", "beta_db"):
             if name in src_raw:
                 raise ScenarioError(f"source.{name}", "not allowed for a WCS")
-    else:
+    elif kind == "hps":
         alpha_s = _transmittance(src_raw, "source", "alpha_s", required=True)
         beta = _transmittance(src_raw, "source", "beta", required=True)
-    source = _construct("source", SourceSpec, kind=kind, mu=mu, alpha_s=alpha_s, beta=beta)
+    source = _construct("source", SourceSpec, kind=kind, mu=src_raw["mu"],
+                        alpha_s=alpha_s, beta=beta)
 
     ch_raw = _require_object("channel", merged.get("channel", {}))
     _check_keys("channel", ch_raw, _SECTION_KEYS["channel"])
@@ -208,35 +181,19 @@ def build_scenario(merged: dict) -> Scenario:
         ch_raw = {**ch_raw, "alpha_d_db": SCENARIO_DEFAULTS["channel"]["alpha_d_db"]}
     alpha_r = _transmittance(ch_raw, "channel", "alpha_r", required=True)
     alpha_d = _transmittance(ch_raw, "channel", "alpha_d", required=True)
-    p_noise = _number("channel.p_noise", ch_raw.get("p_noise", 0.0))
     channel = _construct("channel", ChannelSpec, alpha_r=alpha_r, alpha_d=alpha_d,
-                         p_noise=p_noise)
+                         p_noise=ch_raw.get("p_noise", 0.0))
 
     det_raw = _require_object("detector", merged.get("detector", {}))
     _check_keys("detector", det_raw, _SECTION_KEYS["detector"])
-    det_raw = {**SCENARIO_DEFAULTS["detector"], **det_raw}
-    detector = _construct(
-        "detector", DetectorSpec,
-        pulse_rate_hz=_number("detector.pulse_rate_hz", det_raw["pulse_rate_hz"]),
-        deadtime_s=_number("detector.deadtime_s", det_raw["deadtime_s"]))
+    detector = _construct("detector", DetectorSpec,
+                          **{**SCENARIO_DEFAULTS["detector"], **det_raw})
 
     sim_raw = _require_object("simulation", merged.get("simulation", {}))
     _check_keys("simulation", sim_raw, _SECTION_KEYS["simulation"])
-    sim_raw = {**SCENARIO_DEFAULTS["simulation"], **sim_raw}
-    simulation = {
-        "n_slots": _integer("simulation.n_slots", sim_raw["n_slots"]),
-        "seed": _integer("simulation.seed", sim_raw["seed"]),
-        "noise_model": sim_raw["noise_model"],
-        "apply_herald_deadtime": _boolean("simulation.apply_herald_deadtime",
-                                          sim_raw["apply_herald_deadtime"]),
-        "hbt_enabled": _boolean("simulation.hbt_enabled", sim_raw["hbt_enabled"]),
-        "hbt_noise_coupling": _boolean("simulation.hbt_noise_coupling",
-                                       sim_raw["hbt_noise_coupling"]),
-        "apply_receiver_deadtime": _boolean("simulation.apply_receiver_deadtime",
-                                            sim_raw["apply_receiver_deadtime"]),
-    }
-    _construct("simulation", SimConfig, source=source, channel=channel, detector=detector,
-               **simulation)
+    config = _construct("simulation", SimConfig, source=source, channel=channel,
+                        detector=detector, **{**SCENARIO_DEFAULTS["simulation"], **sim_raw})
+    simulation = {key: getattr(config, key) for key in SCENARIO_DEFAULTS["simulation"]}
 
     plan_path = None
     if merged.get("plan") is not None:
@@ -275,9 +232,11 @@ def set_path(merged: dict, dotted: str, value: float) -> dict:
         raise ScenarioError(dotted, "not a sweepable parameter; valid paths: "
                                     + ", ".join(numeric_leaf_paths(merged)))
     section, key = dotted.split(".", 1)
-    out = copy.deepcopy(merged)
     if key == "n_slots":
-        out[section][key] = _integer(dotted, value)
-    else:
-        out[section][key] = value
+        try:
+            value = _integer(key, value)
+        except ValueError as exc:
+            raise ScenarioError(dotted, str(exc).partition(" ")[2]) from exc
+    out = copy.deepcopy(merged)
+    out[section][key] = value
     return out

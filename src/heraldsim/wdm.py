@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import (ChannelSpec, DetectorSpec, LinkMetrics, SourceSpec, Transmittance,
-                   frequency_to_wavelength, link_metrics, wavelength_to_frequency)
+                   _integer, _real, frequency_to_wavelength, link_metrics,
+                   wavelength_to_frequency)
 
 __all__ = [
     "CHANNEL_COUNT",
@@ -48,8 +48,7 @@ def channel_wavelength(index: int) -> float:
     Channel 1 sits at the anchor wavelength; each increment steps up in
     frequency by the channel spacing, so wavelengths decrease with index.
     """
-    if not isinstance(index, int) or not 1 <= index <= CHANNEL_COUNT:
-        raise ValueError(f"channel index must be an integer in [1, {CHANNEL_COUNT}], got {index!r}")
+    index = _integer("index", index, 1, CHANNEL_COUNT)
     f0 = wavelength_to_frequency(ANCHOR_WAVELENGTH_NM * 1e-9)
     return frequency_to_wavelength(f0 + (index - 1) * CHANNEL_SPACING_HZ) * 1e9
 
@@ -72,17 +71,16 @@ class WdmChannel:
     p_noise: float | None = None
 
     def __post_init__(self) -> None:
-        grid_nm = channel_wavelength(self.index)
-        if self.center_wavelength_nm is None:
-            object.__setattr__(self, "center_wavelength_nm", grid_nm)
-        elif not (math.isfinite(self.center_wavelength_nm) and self.center_wavelength_nm > 0.0):
-            raise ValueError(f"center_wavelength_nm must be positive, got {self.center_wavelength_nm!r}")
-        w = self.sfwm_weight
-        if not (isinstance(w, (int, float)) and math.isfinite(w) and 0.0 < w <= 1.0):
-            raise ValueError(f"sfwm_weight must be in (0, 1], got {w!r}")
-        object.__setattr__(self, "sfwm_weight", float(w))
-        if self.p_noise is not None and not 0.0 <= self.p_noise < 1.0:
-            raise ValueError(f"p_noise override must be in [0, 1), got {self.p_noise!r}")
+        object.__setattr__(self, "index", _integer("index", self.index, 1, CHANNEL_COUNT))
+        object.__setattr__(self, "center_wavelength_nm",
+                           channel_wavelength(self.index) if self.center_wavelength_nm is None
+                           else _real("center_wavelength_nm", self.center_wavelength_nm,
+                                      0.0, lo_open=True))
+        object.__setattr__(self, "sfwm_weight",
+                           _real("sfwm_weight", self.sfwm_weight, 0.0, 1.0, lo_open=True))
+        if self.p_noise is not None:
+            object.__setattr__(self, "p_noise",
+                               _real("p_noise", self.p_noise, 0.0, 1.0, hi_open=True))
 
     def resolve(self, base: ChannelSpec) -> ChannelSpec:
         """Base channel with this entry's overrides applied."""
@@ -117,6 +115,7 @@ class ChannelPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelPlan":
+        """Plan from parsed JSON; an entry's errors name it as ``channels[i].<field>``."""
         if not isinstance(data, dict) or "channels" not in data:
             raise ValueError("channel plan JSON must be an object with a 'channels' list")
         entries = data["channels"]
@@ -133,16 +132,18 @@ class ChannelPlan:
                 raise ValueError(f"channels[{i}]: unknown fields {sorted(unknown)}")
             if "index" not in entry:
                 raise ValueError(f"channels[{i}]: missing 'index'")
-            chans.append(WdmChannel(
-                index=entry["index"],
-                center_wavelength_nm=entry.get("center_wavelength_nm"),
-                sfwm_weight=entry.get("sfwm_weight", 1.0),
-                alpha_r=(Transmittance.from_db(entry["alpha_r_db"])
-                         if "alpha_r_db" in entry else None),
-                alpha_d=(Transmittance.from_db(entry["alpha_d_db"])
-                         if "alpha_d_db" in entry else None),
-                p_noise=entry.get("p_noise"),
-            ))
+            fields = {k: v for k, v in entry.items() if not k.endswith("_db")}
+            for key in ("alpha_r_db", "alpha_d_db"):
+                if key in entry:
+                    try:
+                        fields[key[:-3]] = Transmittance.from_db(entry[key])
+                    except ValueError as exc:
+                        raise ValueError(f"channels[{i}].{key}: {exc}") from exc
+            try:
+                chans.append(WdmChannel(**fields))
+            except ValueError as exc:
+                name, _, rest = str(exc).partition(" ")
+                raise ValueError(f"channels[{i}].{name}: {rest}") from exc
         return cls(tuple(chans))
 
     @classmethod
@@ -160,12 +161,12 @@ class NoiseScanRow:
     clock_rate_hz: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.laser_wavelength_nm) and self.laser_wavelength_nm > 0.0):
-            raise ValueError(f"laser_wavelength_nm must be positive, got {self.laser_wavelength_nm!r}")
-        if not (math.isfinite(self.noise_counts_per_s) and self.noise_counts_per_s >= 0.0):
-            raise ValueError(f"noise_counts_per_s must be >= 0, got {self.noise_counts_per_s!r}")
-        if not (math.isfinite(self.clock_rate_hz) and self.clock_rate_hz > 0.0):
-            raise ValueError(f"clock_rate_hz must be > 0, got {self.clock_rate_hz!r}")
+        object.__setattr__(self, "laser_wavelength_nm", _real(
+            "laser_wavelength_nm", self.laser_wavelength_nm, 0.0, lo_open=True))
+        object.__setattr__(self, "noise_counts_per_s",
+                           _real("noise_counts_per_s", self.noise_counts_per_s, 0.0))
+        object.__setattr__(self, "clock_rate_hz",
+                           _real("clock_rate_hz", self.clock_rate_hz, 0.0, lo_open=True))
         if self.noise_counts_per_s >= self.clock_rate_hz:
             raise ValueError("noise_counts_per_s must be below clock_rate_hz; "
                              "at most one count fits per clock period")

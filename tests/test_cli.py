@@ -181,12 +181,35 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag,value", [
         ("--replicas", "0"), ("--replicas", str(cli.MAX_REPLICAS + 1)),
-        ("--slots", "0"), ("--workers", "0"), ("--workers", "-3")])
+        ("--slots", "0"), ("--workers", "0"), ("--workers", "-3"),
+        ("--seed", "-1"), ("--seed", str(2**64))])
     def test_resource_flag_out_of_range_names_flag(self, capsys, tmp_path, flag, value):
         path = _scenario(tmp_path, simulation={"n_slots": 1_000})
         code, out, err = _run(capsys, "simulate", path, flag, value)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {flag}:")
+
+    def test_out_of_range_env_seed_names_variable(self, capsys, tmp_path, monkeypatch):
+        path = _scenario(tmp_path, simulation={"n_slots": 1_000})
+        monkeypatch.setenv("HERALDSIM_SEED", "-5")
+        code, out, err = _run(capsys, "simulate", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: HERALDSIM_SEED:") and "-5" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "wdm"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--slots", "1000"), ("--slots", "0"), ("--workers", "2"), ("--workers", "-3"),
+        ("--seed", "7")])
+    def test_simulation_flags_need_simulate(self, capsys, tmp_path, command, flag, value):
+        path = _scenario(tmp_path, simulation={"n_slots": 1_000})
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"channels": [{"index": 11}]}), encoding="utf-8")
+        argv = {"sweep": ["sweep", path, "--param", "source.mu", "--from", "0.1",
+                          "--to", "0.2", "--steps", "2"],
+                "wdm": ["wdm", str(plan), path]}[command]
+        code, out, err = _run(capsys, *argv, flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag}:") and "--simulate" in err
 
     def test_max_replicas_accepted(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "MAX_REPLICAS", 3)
@@ -356,6 +379,22 @@ class TestSweep:
                               "--from", "1", "--to", "5", "--steps", "2", "--simulate")
         assert code == 2 and out == ""
         assert "not a sweepable parameter" in err and "source.mu" in err
+
+    def test_unsweepable_param_named_once(self, capsys, tmp_path):
+        path = _scenario(tmp_path, simulation={"n_slots": 1_000})
+        code, out, err = _run(capsys, "sweep", path, "--param", "simulation.seed",
+                              "--from", "1", "--to", "5", "--steps", "3", "--simulate")
+        assert code == 2 and out == ""
+        assert err.startswith("error: simulation.seed: not a sweepable parameter")
+        assert err.count("simulation.seed") == 1
+
+    def test_invalid_grid_point_names_path_once(self, capsys, tmp_path):
+        path = _scenario(tmp_path)
+        code, out, err = _run(capsys, "sweep", path, "--param", "channel.p_noise",
+                              "--from", "0.5", "--to", "1.0", "--steps", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: channel.p_noise: ")
+        assert err.count("channel.p_noise") == 1 and "1.0" in err
 
     def test_zero_steps_rejected(self, capsys, tmp_path):
         path = _scenario(tmp_path)
@@ -540,6 +579,20 @@ class TestWdm:
         _, rows = _parse_csv(out)
         for row, expected_pct in zip(rows[:3], (5.7, 4.9, 5.4)):
             assert 100 * float(row["qber"]) == pytest.approx(expected_pct, abs=0.1)
+
+    @pytest.mark.parametrize("entry,field", [
+        ({"index": 1, "p_noise": "0.1"}, "p_noise"),
+        ({"index": 1, "alpha_r_db": "x"}, "alpha_r_db"),
+        ({"index": 1, "center_wavelength_nm": "x"}, "center_wavelength_nm"),
+        ({"index": True}, "index"),
+        ({"index": 1, "center_wavelength_nm": True}, "center_wavelength_nm")])
+    def test_mistyped_plan_entry_exits_2(self, capsys, tmp_path, entry, field):
+        scenario = _scenario(tmp_path)
+        plan = self._plan(tmp_path, [entry])
+        code, out, err = _run(capsys, "wdm", plan, scenario, "--format", "csv")
+        assert code == 2 and out == ""
+        assert err.startswith("error: plan: ") and f"channels[0].{field}: " in err
+        assert "Traceback" not in err
 
     def test_broken_plan_exits_2(self, capsys, tmp_path):
         scenario = _scenario(tmp_path)

@@ -287,6 +287,9 @@ class TestQber:
         assert qber_from_psnr(4.0) == pytest.approx(0.1, rel=1e-12)
         with pytest.raises(ValueError):
             qber_from_psnr(-1.0)
+        for bad in (math.nan, -math.inf, True, "4"):
+            with pytest.raises(ValueError, match="^psnr must be "):
+                qber_from_psnr(bad)
 
     @given(p_qkd=st.floats(1e-6, 0.05), p_noise=st.floats(1e-8, 0.05))
     @settings(max_examples=100, deadline=None)

@@ -153,6 +153,38 @@ class TestValidationPaths:
         assert exc.value.path == "simulation.seed"
 
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("source", "mu", True), ("source", "mu", "0.11"),
+        ("source", "alpha_s_db", "x"), ("source", "beta", True),
+        ("channel", "alpha_r", "0.5"), ("channel", "alpha_d_db", float("nan")),
+        ("channel", "p_noise", "0.1"),
+        ("detector", "pulse_rate_hz", True), ("detector", "deadtime_s", "1e-6"),
+        ("simulation", "n_slots", 2.5), ("simulation", "n_slots", True),
+        ("simulation", "seed", True), ("simulation", "seed", "3"),
+        ("simulation", "apply_receiver_deadtime", "yes"),
+        ("simulation", "apply_herald_deadtime", 0)])
+    def test_mistyped_field_tagged_with_its_path(self, tmp_path, section, field, value):
+        source = dict(HPS_SOURCE)
+        if field == "beta":
+            del source["beta_db"]
+        data = {"source": source}
+        data.setdefault(section, {})[field] = value
+        with pytest.raises(ScenarioError) as exc:
+            _load(tmp_path, data)
+        assert exc.value.path == f"{section}.{field}"
+
+    def test_missing_kind(self, tmp_path):
+        with pytest.raises(ScenarioError) as exc:
+            _load(tmp_path, {"source": {"mu": 0.1}})
+        assert exc.value.path == "source.kind"
+
+    def test_integral_floats_become_ints(self, tmp_path):
+        sc = _load(tmp_path, {"source": HPS_SOURCE,
+                              "simulation": {"n_slots": 2e5, "seed": 3.0}})
+        assert sc.simulation["n_slots"] == 200_000 and sc.simulation["seed"] == 3
+        assert type(sc.simulation["n_slots"]) is int and type(sc.simulation["seed"]) is int
+
+
 class TestSweepPaths:
     def test_numeric_leaf_paths(self, tmp_path):
         merged = load_scenario_dict(_write(tmp_path, {"source": HPS_SOURCE}))
