@@ -1,7 +1,8 @@
 """Monte Carlo cross-check of the closed-form link metrics.
 
 Loads a reference scenario, runs the time-slot simulator, and lines the
-estimates up against the analytic predictions with z-scores.  Then it
+estimates up against the analytic predictions with the z-scores of the
+CLI's ``simulate`` z_score column (null standard errors).  Then it
 shows the two properties the simulator guarantees: bit-identical
 results for the same seed, and standard errors that shrink as the
 square root of the slot count.
@@ -12,22 +13,23 @@ square root of the slot count.
 from dataclasses import replace
 from pathlib import Path
 
-from heraldsim import (analytic_predictions, analytic_std_errs, estimate_metrics,
-                       load_scenario, simulate)
+from heraldsim import analytic_std_errs, compare, load_scenario, simulate
 
 SCENARIO = Path(__file__).parent / "data" / "scenario_reference.json"
 
 
+def _opt(x, spec: str) -> str:
+    return "-" if x is None else format(x, spec)
+
+
 def z_table(cfg) -> None:
-    est = estimate_metrics(simulate(cfg), cfg)
-    pred = analytic_predictions(cfg)
-    print(f"{cfg.n_slots:,} slots, seed {cfg.seed}")
-    print(f"  {'quantity':>8}  {'estimate':>12}  {'std err':>10}  {'analytic':>12}  {'z':>6}")
-    for name in ("p_t", "p_cond", "psnr", "qber"):
-        e = getattr(est, name)
-        z = (e.value - pred[name]) / e.std_err
-        print(f"  {name:>8}  {e.value:12.6g}  {e.std_err:10.3g}  "
-              f"{pred[name]:12.6g}  {z:+6.2f}")
+    print(f"{cfg.n_slots:,} slots, seed {cfg.seed}; z is in null standard errors")
+    print(f"  {'quantity':>14}  {'estimate':>12}  {'std err':>10}  {'analytic':>12}  "
+          f"{'null SE':>10}  {'z':>6}")
+    for row in compare(simulate(cfg), cfg):
+        print(f"  {row.quantity:>14}  {row.estimate:12.6g}  {row.std_err:10.3g}  "
+              f"{_opt(row.analytic, '.6g'):>12}  {_opt(row.null_se, '.3g'):>10}  "
+              f"{_opt(row.z, '+.2f'):>6}")
 
 
 def determinism(cfg) -> None:

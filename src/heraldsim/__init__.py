@@ -17,9 +17,9 @@ from .core import (DEFAULT_REPORTING_LOSS, SPEED_OF_LIGHT_M_S, ChannelSpec,
                    hps_herald_prob, linear_to_db, link_metrics, psnr, psnr_gain,
                    psnr_gain_approx, qber_exact, qber_from_psnr, rate_penalty,
                    wavelength_to_frequency, wcs_detection_prob)
-from .montecarlo import (Estimate, MetricsEstimate, RunCounts, SimConfig,
-                         analytic_predictions, analytic_std_errs, derive_seed,
-                         estimate_metrics, simulate)
+from .montecarlo import (Comparison, Estimate, MetricsEstimate, RunCounts, SimConfig,
+                         analytic_predictions, analytic_std_errs, compare,
+                         derive_seed, estimate_metrics, simulate)
 from .scenario import Scenario, ScenarioError, build_scenario, load_scenario
 from .wdm import (ChannelMetrics, ChannelPlan, NoiseScanRow, WdmAggregate,
                   WdmChannel, aggregate, channel_wavelength, load_noise_scan,
@@ -44,6 +44,7 @@ __all__ = [
     # montecarlo
     "SimConfig", "RunCounts", "Estimate", "MetricsEstimate", "derive_seed",
     "simulate", "estimate_metrics", "analytic_predictions", "analytic_std_errs",
+    "Comparison", "compare",
     # scenario
     "Scenario", "ScenarioError", "load_scenario", "build_scenario",
     # wdm

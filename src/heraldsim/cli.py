@@ -35,8 +35,8 @@ from .calibration import (ConvergenceError, MeasuredCounts, beta_mu_from_rate,
 from .core import (DEFAULT_REPORTING_LOSS, ChannelSpec, DetectorSpec, SourceSpec,
                    Transmittance, _integer, g2_predicted, linear_to_db, link_metrics,
                    psnr_gain_approx, qber_from_psnr, wcs_detection_prob)
-from .montecarlo import (_MASK64, RunCounts, analytic_predictions, analytic_std_errs,
-                         derive_seed, estimate_metrics, simulate)
+from .montecarlo import (_MASK64, QUANTITIES, RunCounts, compare, derive_seed,
+                         estimate_metrics, simulate)
 from .scenario import (Scenario, ScenarioError, build_scenario,
                        load_scenario_dict, set_path)
 from .wdm import ChannelPlan, aggregate, channel_wavelength
@@ -46,7 +46,6 @@ __all__ = ["main", "FIG7_CHANNELS", "fig7_operating_points"]
 SEED_ENV = "HERALDSIM_SEED"
 MAX_REPLICAS = 1000
 
-ESTIMATE_QUANTITIES = ("p_t", "p_cond", "psnr", "qber", "g2", "car", "herald_rate_hz")
 SWEEP_SIM_QUANTITIES = ("p_t", "p_cond", "psnr", "qber")
 WDM_SIM_QUANTITIES = ("p_t", "p_cond", "qber")
 
@@ -285,43 +284,22 @@ def _cmd_analyze(args) -> int:
 
 # ---------------------------------------------------------------- simulate
 
-def _estimate_rows(counts: RunCounts, config) -> list:
-    est = estimate_metrics(counts, config)
-    pred = analytic_predictions(config)
-    errs = analytic_std_errs(config)
-    rows = []
-    for q in ESTIMATE_QUANTITIES:
-        e = getattr(est, q)
-        if e is None:
-            continue
-        analytic = pred[q]
-        se = errs[q]
-        z = None
-        if (analytic is not None and math.isfinite(analytic) and math.isfinite(e.value)
-                and se is not None and math.isfinite(se) and se > 0.0):
-            z = (e.value - analytic) / se
-        rows.append((q, e.value, e.std_err, analytic, z))
-    return rows
-
-
 def _cmd_simulate(args) -> int:
     scenario = build_scenario(load_scenario_dict(args.scenario))
     configs, counts = _run_jobs(args, [(scenario, i) for i in range(args.replicas)])
     pooled = RunCounts.merge(counts)
     pooled_config = replace(configs[0], n_slots=sum(c.n_slots for c in configs))
     header = ("quantity", "estimate", "std_err", "analytic", "z_score")
-    rows = _estimate_rows(pooled, pooled_config)
+    rows = [(r.quantity, r.estimate, r.std_err, r.analytic, r.z)
+            for r in compare(pooled, pooled_config)]
 
     extra_tables = ()
     json_payload = None
     if args.replicas > 1:
-        rep_header = ("replica",) + ESTIMATE_QUANTITIES
-        rep_rows = []
-        for i, (c, cfg) in enumerate(zip(counts, configs)):
-            est = estimate_metrics(c, cfg)
-            rep_rows.append((i,) + tuple(
-                getattr(est, q).value if getattr(est, q) is not None else None
-                for q in ESTIMATE_QUANTITIES))
+        rep_header = ("replica",) + QUANTITIES
+        # every other cell of _sim_cells: the estimates without their SEs
+        rep_rows = [(i,) + _sim_cells(c, cfg, QUANTITIES)[::2]
+                    for i, (c, cfg) in enumerate(zip(counts, configs))]
         extra_tables = (("per-replica estimates", rep_header, rep_rows),)
         json_payload = {
             "pooled": [dict(zip(header, (_json_cell(c) for c in row))) for row in rows],
@@ -563,7 +541,7 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
                         help="override simulation.n_slots")
     parser.add_argument("--seed", type=_int_arg, default=None,
                         help="base RNG seed (beats HERALDSIM_SEED and the scenario)")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=_int_arg, default=None,
                         help="run independent simulations in up to N worker processes "
                              "(at most one per job and per CPU)")
 

@@ -61,6 +61,9 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 # when no channel is given, gain is reported at this receiver-path loss.
 DEFAULT_REPORTING_LOSS = 1e-3
 
+# 10 ** (db / 10) overflows a float at and above this many dB.
+_DB_MAX = 10.0 * math.log10(sys.float_info.max)
+
 
 class UndefinedConditionalError(ValueError):
     """A herald-conditioned quantity was requested but heralds never fire."""
@@ -71,6 +74,8 @@ def _range_text(lo, hi, lo_open: bool, hi_open: bool) -> str:
         return format(x, "g") if isinstance(x, float) else str(x)
     if hi == math.inf:
         return "" if lo == -math.inf else f" {'>' if lo_open else '>='} {num(lo)}"
+    if lo == -math.inf:
+        return f" {'<' if hi_open else '<='} {num(hi)}"
     return f" in {'(' if lo_open else '['}{num(lo)}, {num(hi)}{')' if hi_open else ']'}"
 
 
@@ -105,7 +110,7 @@ def _integer(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> i
 
 def db_to_linear(db: float) -> float:
     """Convert a power ratio from dB to linear. -10 dB -> 0.1."""
-    return 10.0 ** (_real("db", db) / 10.0)
+    return 10.0 ** (_real("db", db, hi=_DB_MAX, hi_open=True) / 10.0)
 
 
 def linear_to_db(ratio: float) -> float:

@@ -7,8 +7,9 @@ ends, adds channel noise on gated slots, applies the basis-error
 bookkeeping, and optionally splits the receiver photons 50/50 for an
 HBT g2(0) measurement.  Tallies accumulate into :class:`RunCounts`;
 :func:`estimate_metrics` turns tallies into point estimates with
-binomial standard errors, and :func:`analytic_predictions` computes
-the closed-form values every estimate should converge to.
+binomial standard errors, :func:`analytic_predictions` computes
+the closed-form values every estimate should converge to, and
+:func:`compare` lines the two up with a z-score per quantity.
 
 Determinism: identical ``(config, seed)`` produce bit-identical
 :class:`RunCounts`.  The draw layout (order and shape of RNG calls per
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +34,14 @@ __all__ = [
     "RunCounts",
     "Estimate",
     "MetricsEstimate",
+    "QUANTITIES",
+    "Comparison",
     "derive_seed",
     "simulate",
     "estimate_metrics",
     "analytic_predictions",
     "analytic_std_errs",
+    "compare",
 ]
 
 NOISE_MODELS = ("bernoulli-per-gate", "poisson-per-gate")
@@ -152,6 +157,21 @@ class MetricsEstimate:
     g2: Estimate | None
     car: Estimate | None
     herald_rate_hz: Estimate | None
+
+
+# The estimated quantities, in the order of MetricsEstimate's fields.
+QUANTITIES = ("p_t", "p_cond", "psnr", "qber", "g2", "car", "herald_rate_hz")
+
+
+class Comparison(NamedTuple):
+    """One row of :func:`compare`."""
+
+    quantity: str
+    estimate: float
+    std_err: float
+    analytic: float | None
+    null_se: float | None
+    z: float | None
 
 
 def derive_seed(seed: int, run_index: int) -> int:
@@ -442,7 +462,8 @@ def _hbt_arm_probs(config: SimConfig) -> tuple[float, float] | None:
     Derived from the same joint threshold-detection formula as the
     conditional detection probability, with the 50/50 splitter halving
     the arm transmittance.  None when noise is coupled into the arms
-    (no closed form is provided for that extension).
+    (no closed form is provided for that extension) or when an HPS with
+    mu = 0 never heralds.
     """
     if config.hbt_noise_coupling and config.channel.p_noise > 0.0:
         return None
@@ -450,6 +471,8 @@ def _hbt_arm_probs(config: SimConfig) -> tuple[float, float] | None:
     if src.kind == core.WCS:
         half = -math.expm1(-ch.loss * src.mu / 2.0)
         return half, half * half
+    if src.mu == 0.0:
+        return None
     arm = src.alpha_s.value * ch.loss
     mu, beta = src.mu, src.beta.value
     p2 = core._conditional_detection(mu, beta, arm / 2.0)
@@ -556,3 +579,28 @@ def analytic_std_errs(config: SimConfig) -> dict[str, float | None]:
                     + 2.0 * (1.0 - p2) / exp_n2)
 
     return out
+
+
+def compare(counts: RunCounts, config: SimConfig) -> list[Comparison]:
+    """Each quantity the run measured beside its closed form, in QUANTITIES order.
+
+    Quantities :func:`estimate_metrics` returns as None get no row.  ``null_se``
+    is :func:`analytic_std_errs`'s SE from expected counts; ``z`` is
+    ``(estimate - analytic) / null_se``, None unless all three are finite and
+    ``null_se > 0``.
+    """
+    est = estimate_metrics(counts, config)
+    pred = analytic_predictions(config)
+    errs = analytic_std_errs(config)
+    rows = []
+    for q in QUANTITIES:
+        e = getattr(est, q)
+        if e is None:
+            continue
+        analytic, se = pred[q], errs[q]
+        z = None
+        if (analytic is not None and math.isfinite(analytic) and math.isfinite(e.value)
+                and se is not None and math.isfinite(se) and se > 0.0):
+            z = (e.value - analytic) / se
+        rows.append(Comparison(q, e.value, e.std_err, analytic, se, z))
+    return rows

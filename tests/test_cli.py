@@ -89,6 +89,12 @@ class TestAnalyze:
         assert len(p_t.replace("-", "").replace(".", "").replace("e", "").lstrip("0")) >= 9
         assert float(p_t) == pytest.approx(0.000514376318534796, rel=1e-11)
 
+    def test_overflowing_db_exits_2(self, capsys, tmp_path):
+        path = _scenario(tmp_path, channel={"alpha_r_db": 4000})
+        code, out, err = _run(capsys, "analyze", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: channel.alpha_r_db:")
+
     def test_missing_scenario_exits_2(self, capsys, tmp_path):
         code, out, err = _run(capsys, "analyze", str(tmp_path / "nope.json"))
         assert code == 2
@@ -107,6 +113,15 @@ class TestSimulate:
             assert q in by_q
         for q in ("p_t", "p_cond"):
             assert abs(float(by_q[q]["z_score"])) < 5.0
+
+    def test_hps_without_pairs_reports_herald_rows_only(self, capsys, tmp_path):
+        # mu = 0 never heralds; with HBT on, the g2 prediction is undefined too
+        path = _scenario(tmp_path, source={**REF_SOURCE_JSON, "mu": 0.0},
+                         channel={"p_noise": 1e-3},
+                         simulation={"n_slots": 10_000, "hbt_enabled": True})
+        code, out, err = _run(capsys, "simulate", path, "--format", "csv")
+        assert code == 0 and err == ""
+        assert [r["quantity"] for r in _parse_csv(out)[1]] == ["p_t", "herald_rate_hz"]
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         path = _scenario(tmp_path, channel={"alpha_r_db": -6.5, "p_noise": 1e-3},
@@ -173,10 +188,11 @@ class TestSimulate:
         code, out, err = _run(capsys, "simulate", path)
         assert code == 2 and "HERALDSIM_SEED" in err
 
-    def test_slots_flag_accepts_scientific(self, capsys, tmp_path):
+    @pytest.mark.parametrize("flag,value", [
+        ("--slots", "1e5"), ("--replicas", "2.0"), ("--workers", "2.0")])
+    def test_integer_flags_accept_integral_floats(self, capsys, tmp_path, flag, value):
         path = _scenario(tmp_path, simulation={"n_slots": 10, "seed": 4})
-        code, out, _ = _run(capsys, "simulate", path, "--slots", "1e5",
-                            "--format", "json")
+        code, out, _ = _run(capsys, "simulate", path, flag, value, "--format", "json")
         assert code == 0
 
     @pytest.mark.parametrize("flag,value", [

@@ -6,14 +6,18 @@ not from the realized counts.
 """
 
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 from heraldsim.core import ChannelSpec, DetectorSpec, SourceSpec, Transmittance
-from heraldsim.montecarlo import (NOISE_MODELS, Estimate, RunCounts, SimConfig,
-                                  analytic_predictions, analytic_std_errs,
-                                  derive_seed, estimate_metrics, simulate)
+from heraldsim.montecarlo import (NOISE_MODELS, QUANTITIES, Estimate, MetricsEstimate,
+                                  RunCounts, SimConfig, analytic_predictions,
+                                  analytic_std_errs, compare, derive_seed,
+                                  estimate_metrics, simulate)
 
 REF_DETECTOR = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=10e-6)
 NO_DEADTIME = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=0.0)
@@ -35,18 +39,10 @@ def _config(source=None, channel=None, n_slots=1_000_000, seed=7, **kw):
 
 
 def _zmax(config, quantities):
-    counts = simulate(config)
-    est = estimate_metrics(counts, config)
-    analytic = analytic_predictions(config)
-    errs = analytic_std_errs(config)
-    zs = {}
+    rows = {row.quantity: row for row in compare(simulate(config), config)}
     for q in quantities:
-        e = getattr(est, q)
-        assert e is not None, q
-        se = errs[q]
-        assert se is not None and se > 0.0, q
-        zs[q] = (e.value - analytic[q]) / se
-    return zs
+        assert q in rows and rows[q].z is not None, q
+    return {q: rows[q].z for q in quantities}
 
 
 class TestSeedDerivation:
@@ -208,10 +204,7 @@ class TestHeraldDeadtime:
     def test_rate_matches_fixed_point(self):
         cfg = _config(detector=REF_DETECTOR, n_slots=4_000_000, seed=13,
                       apply_herald_deadtime=True)
-        counts = simulate(cfg)
-        h = analytic_predictions(cfg)["p_t"]
-        se = math.sqrt(h * (1.0 - h) / cfg.n_slots)
-        assert abs(counts.heralds / counts.slots - h) < 4 * se
+        assert abs(_zmax(cfg, ("p_t",))["p_t"]) < 4.0
 
     def test_saturated_source_pins_spacing(self):
         # with every slot clicking, accepted heralds hit the spacing ceiling;
@@ -318,3 +311,66 @@ class TestEstimateContainer:
     def test_estimate_fields(self):
         e = Estimate(1.0, 0.1)
         assert e.value == 1.0 and e.std_err == 0.1
+
+
+# (config, the quantities compare reports in order, those of them with no z)
+COMPARE_CASES = {
+    "hps": (_config(source=_hps(beta_db=-3.0), channel=_channel(0.05, 1e-2),
+                    n_slots=200_000, seed=3),
+            ("p_t", "p_cond", "psnr", "qber", "car", "herald_rate_hz"), ()),
+    # every slot heralds, so p_t and the herald rate have a null SE of 0
+    "wcs-noise": (_config(source=SourceSpec.wcs(0.11), channel=_channel(0.05, 1e-3),
+                          n_slots=200_000, seed=3),
+                  ("p_t", "p_cond", "psnr", "qber", "car", "herald_rate_hz"),
+                  ("p_t", "herald_rate_hz")),
+    # psnr is inf on both sides and qber is 0 on both sides
+    "no-noise": (_config(source=_hps(beta_db=-3.0), channel=_channel(0.05),
+                         n_slots=200_000, seed=3),
+                 ("p_t", "p_cond", "psnr", "qber", "car", "herald_rate_hz"),
+                 ("psnr", "qber")),
+    # no closed form for g2 with noise in the HBT arms
+    "hbt-coupled": (_config(source=_hps(beta_db=-3.0), channel=_channel(1.0, 1e-2),
+                            n_slots=200_000, seed=3, hbt_enabled=True,
+                            hbt_noise_coupling=True),
+                    ("p_t", "p_cond", "psnr", "qber", "g2", "car", "herald_rate_hz"),
+                    ("g2",)),
+    # a few hundred heralds and no accidental coincidence, so no car row
+    "no-accidentals": (_config(channel=_channel(0.05, 1e-2), n_slots=200_000, seed=3),
+                       ("p_t", "p_cond", "psnr", "qber", "herald_rate_hz"), ()),
+    # an HPS with mu = 0 never heralds: no HBT prediction, nothing conditional
+    "hps-mu0-hbt": (_config(source=_hps(mu=0.0), channel=_channel(1.0, 1e-2),
+                            n_slots=10_000, seed=3, hbt_enabled=True),
+                    ("p_t", "herald_rate_hz"), ("p_t", "herald_rate_hz")),
+}
+
+
+class TestCompare:
+    @pytest.mark.parametrize("config,measured,no_z", COMPARE_CASES.values(),
+                             ids=COMPARE_CASES.keys())
+    def test_rows(self, config, measured, no_z):
+        counts = simulate(config)
+        rows = compare(counts, config)
+        assert tuple(row.quantity for row in rows) == measured
+        assert tuple(row.quantity for row in rows if row.z is None) == no_z
+        est = estimate_metrics(counts, config)
+        pred, errs = analytic_predictions(config), analytic_std_errs(config)
+        for row in rows:
+            e = getattr(est, row.quantity)
+            assert (row.estimate, row.std_err) == (e.value, e.std_err)
+            assert (row.analytic, row.null_se) == (pred[row.quantity], errs[row.quantity])
+            if row.z is not None:
+                assert row.z == (row.estimate - row.analytic) / row.null_se
+
+    def test_quantity_lists_agree(self, monkeypatch):
+        # bench/checks.py keeps its own copy of the list; it imports only the
+        # standard library, so it loads here without the benchmark harness
+        path = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+        spec = importlib.util.spec_from_file_location("bench_checks", path)
+        checks = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, checks)
+        spec.loader.exec_module(checks)
+        config = _config(hbt_enabled=True)
+        assert tuple(f.name for f in dataclasses.fields(MetricsEstimate)) == QUANTITIES
+        assert tuple(analytic_predictions(config)) == QUANTITIES
+        assert tuple(analytic_std_errs(config)) == QUANTITIES
+        assert checks.QUANTITIES == QUANTITIES

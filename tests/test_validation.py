@@ -26,7 +26,7 @@ ZERO_COUNTS = {f.name: 0 for f in dataclasses.fields(RunCounts)}
 # (site, name the message must start with, call with the value, an out-of-range
 # value or None where every finite value is valid)
 REAL_SITES = [
-    ("db_to_linear", "db", db_to_linear, None),
+    ("db_to_linear", "db", db_to_linear, 4000),  # 10 ** 400 overflows a float
     ("linear_to_db", "ratio", linear_to_db, -1.0),
     ("wavelength_to_frequency", "wavelength_m", wavelength_to_frequency, 0.0),
     ("frequency_to_wavelength", "frequency_hz", frequency_to_wavelength, -1.0),
