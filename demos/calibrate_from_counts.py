@@ -10,19 +10,18 @@ the loop with a deadtime-aware Monte Carlo run at the fitted mu.
     python3 demos/calibrate_from_counts.py
 """
 
-from heraldsim import (ChannelSpec, DetectorSpec, MeasuredCounts, SimConfig,
-                       Transmittance, calibrate_source, g2_predicted, linear_to_db,
-                       simulate, solve_channel_loss)
-
-DETECTOR = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=10e-6)
-BETA = Transmittance.from_db(-23.3)
-OBSERVED_RATE_HZ = 20e3
-MEASURED_G2 = 0.188
+from heraldsim import (ChannelSpec, MeasuredCounts, SimConfig, Transmittance,
+                       calibrate_source, g2_predicted, linear_to_db, simulate,
+                       solve_channel_loss)
+from heraldsim.paper import (APPENDIX_B_G2 as MEASURED_G2,
+                             APPENDIX_B_HERALD_RATE_HZ as OBSERVED_RATE_HZ,
+                             REFERENCE_DETECTOR as DETECTOR, REFERENCE_SOURCE)
 
 
 def main() -> None:
     counts = MeasuredCounts(OBSERVED_RATE_HZ, DETECTOR, g2=MEASURED_G2)
-    result = calibrate_source(counts, beta=BETA, alpha_s=Transmittance.from_db(-6.5))
+    result = calibrate_source(counts, beta=REFERENCE_SOURCE.beta,
+                              alpha_s=REFERENCE_SOURCE.alpha_s)
 
     print(f"observed herald rate: {OBSERVED_RATE_HZ:.0f} Hz "
           f"(deadtime {DETECTOR.deadtime_s * 1e6:.0f} us, "

@@ -12,44 +12,41 @@ Run from the repository root after installing the package:
     python3 demos/link_budget_comparison.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from heraldsim import (ChannelSpec, SourceSpec, Transmittance, linear_to_db,
                        link_metrics, psnr_gain, psnr_gain_approx, rate_penalty)
-
-MU = 0.11
-BETA = Transmittance.from_db(-23.3)
-REFERENCE_ALPHA_S = Transmittance.from_db(-6.5)
+from heraldsim.paper import CHI_TABLE, QBER_FAIL_PCT, REFERENCE_SOURCE as SOURCE
 
 
 def gain_table() -> None:
     print("PSNR gain over a weak coherent source at the same mu")
     print(f"  {'heralding arm':>16}  {'gain':>6}  {'small-mu approx':>15}")
-    for alpha_s in (REFERENCE_ALPHA_S, Transmittance(0.45), Transmittance(0.84)):
-        source = SourceSpec.hps(MU, alpha_s, BETA)
+    for alpha_s, _ in CHI_TABLE:
+        source = replace(SOURCE, alpha_s=alpha_s)
         exact = psnr_gain(source)
         approx = psnr_gain_approx(source)
         print(f"  {100 * alpha_s.value:15.1f}%  {exact:6.2f}  {approx:15.2f}")
 
 
 def trigger_rate_price() -> None:
-    source = SourceSpec.hps(MU, REFERENCE_ALPHA_S, BETA)
-    penalty = rate_penalty(source)
+    penalty = rate_penalty(SOURCE)
     print("\nHeralding costs raw rate: only slots with a detected idler count.")
     print(f"  triggered fraction of slots: {penalty:.3e} ({linear_to_db(penalty):.1f} dB)")
 
 
 def noise_sweep() -> None:
     loss = Transmittance(1e-3)
-    source = SourceSpec.hps(MU, REFERENCE_ALPHA_S, BETA)
     print("\nQBER vs per-slot noise probability at a 30 dB channel")
     print(f"  {'p_noise':>9}  {'psnr wcs':>8}  {'qber wcs':>8}  "
           f"{'psnr hps':>8}  {'qber hps':>8}")
     for p_noise in np.geomspace(1e-5, 1e-4, 7):
         channel = ChannelSpec(loss, Transmittance(1.0), float(p_noise))
-        hps = link_metrics(source, channel)
-        wcs = link_metrics(SourceSpec.wcs(MU), channel)
-        flag = "  <- wcs above 10%" if wcs.qber > 0.10 else ""
+        hps = link_metrics(SOURCE, channel)
+        wcs = link_metrics(SourceSpec.wcs(SOURCE.mu), channel)
+        flag = f"  <- wcs above {QBER_FAIL_PCT:g}%" if 100 * wcs.qber > QBER_FAIL_PCT else ""
         print(f"  {p_noise:9.2e}  {wcs.psnr:8.2f}  {100 * wcs.qber:7.2f}%  "
               f"{hps.psnr:8.2f}  {100 * hps.qber:7.2f}%{flag}")
     print("  The heralded link keeps its QBER in the working range well past")

@@ -13,15 +13,14 @@ photon number shows which channels only work because of heralding.
 from dataclasses import replace
 from pathlib import Path
 
-from heraldsim import (ChannelPlan, ChannelSpec, DetectorSpec, SourceSpec,
-                       Transmittance, aggregate, link_metrics, load_noise_scan,
-                       p_noise_from_scan)
+from heraldsim import (ChannelPlan, ChannelSpec, SourceSpec, Transmittance, aggregate,
+                       link_metrics, load_noise_scan, p_noise_from_scan)
+from heraldsim.paper import QBER_FAIL_PCT, REFERENCE_DETECTOR, REFERENCE_SOURCE
 
 DATA = Path(__file__).parent / "data"
 
-SOURCE = SourceSpec.hps(0.11, Transmittance.from_db(-6.5), Transmittance.from_db(-23.3))
 BASE_CHANNEL = ChannelSpec(Transmittance(1e-3), Transmittance(1.0))
-DETECTOR = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=0.0)
+DETECTOR = replace(REFERENCE_DETECTOR, deadtime_s=0.0)
 
 
 def attach_scan_noise(plan: ChannelPlan, scan) -> ChannelPlan:
@@ -36,15 +35,15 @@ def attach_scan_noise(plan: ChannelPlan, scan) -> ChannelPlan:
 def main() -> None:
     plan = attach_scan_noise(ChannelPlan.load(DATA / "channel_plan.json"),
                              load_noise_scan(DATA / "noise_scan.csv"))
-    result = aggregate(plan, SOURCE, BASE_CHANNEL, DETECTOR)
+    result = aggregate(plan, REFERENCE_SOURCE, BASE_CHANNEL, DETECTOR)
 
     print(f"  {'ch':>3}  {'nm':>8}  {'p_noise':>9}  {'psnr':>6}  {'qber':>6}  "
           f"{'rate':>9}  {'wcs qber':>8}")
     for row in result.per_channel:
         spec = row.channel_spec
         wcs = link_metrics(SourceSpec.wcs(row.source.mu), spec)
-        usable = "" if wcs.qber < 0.10 else "  <- heralding required"
-        print(f"  {row.channel.index:3d}  {row.wavelength_nm:8.2f}  "
+        usable = "" if 100 * wcs.qber < QBER_FAIL_PCT else "  <- heralding required"
+        print(f"  {row.channel.index:3d}  {row.channel.center_wavelength_nm:8.2f}  "
               f"{spec.p_noise:9.2e}  {row.metrics.psnr:6.2f}  "
               f"{100 * row.metrics.qber:5.2f}%  {row.rate_hz:8.2f}/s  "
               f"{100 * wcs.qber:7.2f}%{usable}")

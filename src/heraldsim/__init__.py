@@ -6,10 +6,9 @@ Monte Carlo time-slot simulator, source calibration from measurable count
 rates, and WDM channel-plan aggregation.
 """
 
-from .calibration import (CalibrationError, CalibrationResult, ConvergenceError,
-                          InfeasibleError, MeasuredCounts, SaturationError,
-                          beta_mu_from_rate, calibrate_source, mu_from_g2,
-                          solve_channel_loss)
+from .calibration import (CalibrationError, CalibrationResult, InfeasibleError,
+                          MeasuredCounts, SaturationError, beta_mu_from_rate,
+                          calibrate_source, mu_from_g2, solve_channel_loss)
 from .core import (DEFAULT_REPORTING_LOSS, SPEED_OF_LIGHT_M_S, ChannelSpec,
                    DetectorSpec, LinkMetrics, SourceSpec, Transmittance,
                    UndefinedConditionalError, db_to_linear, frequency_to_wavelength,
@@ -39,8 +38,8 @@ __all__ = [
     "g2_predicted", "link_metrics",
     # calibration
     "MeasuredCounts", "CalibrationResult", "SaturationError", "CalibrationError",
-    "InfeasibleError", "ConvergenceError", "beta_mu_from_rate", "mu_from_g2",
-    "calibrate_source", "solve_channel_loss",
+    "InfeasibleError", "beta_mu_from_rate", "mu_from_g2", "calibrate_source",
+    "solve_channel_loss",
     # montecarlo
     "SimConfig", "RunCounts", "Estimate", "MetricsEstimate", "derive_seed",
     "simulate", "estimate_metrics", "analytic_predictions", "analytic_std_errs",

@@ -30,73 +30,24 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .calibration import (ConvergenceError, MeasuredCounts, beta_mu_from_rate,
-                          calibrate_source, mu_from_g2)
-from .core import (DEFAULT_REPORTING_LOSS, ChannelSpec, DetectorSpec, SourceSpec,
-                   Transmittance, _integer, g2_predicted, linear_to_db, link_metrics,
-                   psnr_gain_approx, qber_from_psnr, wcs_detection_prob)
+from . import paper
+from .calibration import MeasuredCounts, beta_mu_from_rate, calibrate_source, mu_from_g2
+from .core import (DetectorSpec, SourceSpec, Transmittance, _integer, g2_predicted,
+                   linear_to_db, link_metrics, psnr_gain, psnr_gain_approx, qber_from_psnr,
+                   rate_penalty)
 from .montecarlo import (_MASK64, QUANTITIES, RunCounts, compare, derive_seed,
                          estimate_metrics, simulate)
-from .scenario import (Scenario, ScenarioError, build_scenario,
+from .scenario import (Scenario, ScenarioError, build_scenario, load_scenario,
                        load_scenario_dict, set_path)
 from .wdm import ChannelPlan, aggregate, channel_wavelength
 
-__all__ = ["main", "FIG7_CHANNELS", "fig7_operating_points"]
+__all__ = ["main"]
 
 SEED_ENV = "HERALDSIM_SEED"
 MAX_REPLICAS = 1000
 
 SWEEP_SIM_QUANTITIES = ("p_t", "p_cond", "psnr", "qber")
 WDM_SIM_QUANTITIES = ("p_t", "p_cond", "qber")
-
-# Reference operating point: mu and arm transmittances of the characterized
-# pair source, pulse clock and deadtime of its gated detectors.
-REF_MU = 0.11
-REF_ALPHA_S_DB = -6.5
-REF_BETA_DB = -23.3
-REF_PULSE_RATE_HZ = 48.7e6
-REF_DEADTIME_S = 10e-6
-
-FIG7_CHANNELS = (11, 16, 21)
-FIG7_PSNR_WCS = (3.45, 4.06, 3.67)
-FIG7_PSNR_HPS = (7.79, 9.18, 8.30)
-FIG7_QBER_HPS_PCT = (5.7, 4.9, 5.4)
-FIG7_QBER_WCS_PCT = (11.2, 9.9, 10.7)
-CHI_TABLE_ALPHA_S = ("-6.5 dB", 0.45, 0.84)
-CHI_TABLE_EXPECTED = (2.26, 4.54, 8.48)
-GRID_WAVELENGTHS = ((1, 1308.2), (11, 1305.3), (16, 1303.9), (21, 1302.5), (64, 1290.4))
-QBER_OK_PCT = 5.7      # heralded QBER stays below this at every reference point
-QBER_FAIL_PCT = 10.0   # QBER above this prevents secure-key generation
-PSNR_FAIL = 4.0        # WCS PSNR below this implies QBER beyond the fail line
-
-
-def reference_source() -> SourceSpec:
-    return SourceSpec.hps(REF_MU, Transmittance.from_db(REF_ALPHA_S_DB),
-                          Transmittance.from_db(REF_BETA_DB))
-
-
-def fig7_operating_points() -> list[dict]:
-    """The three reference channels as concrete source/channel pairs.
-
-    The receiver-path transmittance is fixed at the reporting default and
-    each channel's p_noise is chosen so the same-mu WCS baseline lands on
-    its reference PSNR; every derived quantity then follows from the model.
-    """
-    source = reference_source()
-    loss = Transmittance(DEFAULT_REPORTING_LOSS)
-    unity = Transmittance(1.0)
-    p_s = wcs_detection_prob(SourceSpec.wcs(source.mu),
-                             ChannelSpec(loss, unity, 0.0))
-    points = []
-    for index, target in zip(FIG7_CHANNELS, FIG7_PSNR_WCS):
-        points.append({
-            "index": index,
-            "psnr_wcs": target,
-            "source": source,
-            "channel": ChannelSpec(loss, unity, p_s / target),
-        })
-    return points
-
 
 # ---------------------------------------------------------------- formatting
 
@@ -276,7 +227,7 @@ def _analyze_rows(scenario: Scenario) -> tuple[tuple, list]:
 
 
 def _cmd_analyze(args) -> int:
-    scenario = build_scenario(load_scenario_dict(args.scenario))
+    scenario = load_scenario(args.scenario)
     header, rows = _analyze_rows(scenario)
     _emit(args, header, rows)
     return 0
@@ -285,7 +236,7 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 def _cmd_simulate(args) -> int:
-    scenario = build_scenario(load_scenario_dict(args.scenario))
+    scenario = load_scenario(args.scenario)
     configs, counts = _run_jobs(args, [(scenario, i) for i in range(args.replicas)])
     pooled = RunCounts.merge(counts)
     pooled_config = replace(configs[0], n_slots=sum(c.n_slots for c in configs))
@@ -404,54 +355,47 @@ def _preset_fig7() -> list:
     rows = []
     hps_qber_pcts = []
     failing_wcs_qber_pcts = []
-    for i, point in enumerate(fig7_operating_points()):
-        label = f"channel{point['index']}"
-        metrics = link_metrics(point["source"], point["channel"])
+    for point in paper.FIG7_CHANNELS:
+        label = f"channel{point.index}"
+        metrics = link_metrics(paper.REFERENCE_SOURCE, point.channel)
         qber_hps_pct = 100.0 * qber_from_psnr(metrics.psnr)
-        qber_wcs_pct = 100.0 * qber_from_psnr(point["psnr_wcs"])
-        rows.append(_row_abs(f"{label}.psnr_hps", FIG7_PSNR_HPS[i], metrics.psnr, 0.05))
-        rows.append(_row_abs(f"{label}.qber_hps_pct", FIG7_QBER_HPS_PCT[i], qber_hps_pct, 0.1))
-        rows.append(_row_abs(f"{label}.qber_wcs_pct", FIG7_QBER_WCS_PCT[i], qber_wcs_pct, 0.1))
+        qber_wcs_pct = 100.0 * qber_from_psnr(point.psnr_wcs)
+        rows.append(_row_abs(f"{label}.psnr_hps", point.psnr_hps, metrics.psnr, 0.05))
+        rows.append(_row_abs(f"{label}.qber_hps_pct", point.qber_hps_pct, qber_hps_pct, 0.1))
+        rows.append(_row_abs(f"{label}.qber_wcs_pct", point.qber_wcs_pct, qber_wcs_pct, 0.1))
         hps_qber_pcts.append(qber_hps_pct)
-        if point["psnr_wcs"] < PSNR_FAIL:
+        if point.psnr_wcs < paper.PSNR_FAIL:
             failing_wcs_qber_pcts.append(qber_wcs_pct)
     # narrative claims: heralding keeps QBER workable where the WCS link fails
     worst_hps = max(hps_qber_pcts)
-    rows.append(_row_bound("hps_qber_max_pct", f"< {QBER_OK_PCT}", worst_hps,
-                           worst_hps < QBER_OK_PCT))
+    rows.append(_row_bound("hps_qber_max_pct", f"< {paper.QBER_OK_PCT}", worst_hps,
+                           worst_hps < paper.QBER_OK_PCT))
     if failing_wcs_qber_pcts:
         worst_wcs = min(failing_wcs_qber_pcts)
-        rows.append(_row_bound(f"wcs_qber_pct_where_psnr_below_{PSNR_FAIL}",
-                               f"> {QBER_FAIL_PCT}", worst_wcs,
-                               worst_wcs > QBER_FAIL_PCT))
+        rows.append(_row_bound(f"wcs_qber_pct_where_psnr_below_{paper.PSNR_FAIL}",
+                               f"> {paper.QBER_FAIL_PCT}", worst_wcs,
+                               worst_wcs > paper.QBER_FAIL_PCT))
     return rows
 
 
 def _preset_chi_table() -> list:
-    from .core import psnr_gain, rate_penalty
-    beta = Transmittance.from_db(REF_BETA_DB)
     rows = []
-    for spec, expected in zip(CHI_TABLE_ALPHA_S, CHI_TABLE_EXPECTED):
-        alpha_s = (Transmittance.from_db(REF_ALPHA_S_DB) if isinstance(spec, str)
-                   else Transmittance(spec))
-        source = SourceSpec.hps(REF_MU, alpha_s, beta)
+    for alpha_s, expected in paper.CHI_TABLE:
+        source = replace(paper.REFERENCE_SOURCE, alpha_s=alpha_s)
         label = f"psnr_gain.alpha_s_{_fmt(alpha_s.value, '.3g')}"
         rows.append(_row_abs(label, expected, psnr_gain(source), 0.01))
-    penalty_db = linear_to_db(rate_penalty(reference_source()))
-    rows.append(_row_abs("rate_penalty_db", -29.8, penalty_db, 0.05))
+    penalty_db = linear_to_db(rate_penalty(paper.REFERENCE_SOURCE))
+    rows.append(_row_abs("rate_penalty_db", paper.RATE_PENALTY_DB, penalty_db, 0.05))
     return rows
 
 
 def _preset_appendix_b() -> list:
-    detector = DetectorSpec(pulse_rate_hz=REF_PULSE_RATE_HZ, deadtime_s=REF_DEADTIME_S)
-    measured = MeasuredCounts(20e3, detector)
-    beta = Transmittance.from_db(REF_BETA_DB)
-    result = calibrate_source(measured, beta)
-    rows = [_row_abs("mu_from_rate", 0.110, result.mu_from_rate, 0.005)]
-    g2_ref = g2_predicted(SourceSpec.hps(REF_MU, 1.0, beta))
-    rows.append(_row_abs("g2_at_reference_mu", 0.188, g2_ref, 0.001))
-    g2_cal = g2_predicted(SourceSpec.hps(result.mu_from_rate, 1.0, beta))
-    mu_back = mu_from_g2(g2_cal, result.beta_mu)
+    measured = MeasuredCounts(paper.APPENDIX_B_HERALD_RATE_HZ, paper.REFERENCE_DETECTOR)
+    result = calibrate_source(measured, paper.REFERENCE_SOURCE.beta)
+    rows = [_row_abs("mu_from_rate", paper.APPENDIX_B_MU, result.mu_from_rate, 0.005)]
+    g2_ref = g2_predicted(paper.REFERENCE_SOURCE)
+    rows.append(_row_abs("g2_at_reference_mu", paper.APPENDIX_B_G2, g2_ref, 0.001))
+    mu_back = mu_from_g2(g2_predicted(result.source), result.beta_mu)
     rel = abs(mu_back - result.mu_from_rate) / result.mu_from_rate
     rows.append(_row_bound("mu_g2_roundtrip_rel_err", "< 1e-9", rel, rel < 1e-9))
     return rows
@@ -459,7 +403,7 @@ def _preset_appendix_b() -> list:
 
 def _preset_grid() -> list:
     return [_row_abs(f"channel{idx}.wavelength_nm", nm, channel_wavelength(idx), 0.1)
-            for idx, nm in GRID_WAVELENGTHS]
+            for idx, nm in paper.GRID_WAVELENGTHS_NM]
 
 
 PRESETS = {
@@ -485,7 +429,7 @@ def _cmd_wdm(args) -> int:
     plan_arg, scenario_arg = args.plan, args.scenario
     if scenario_arg is None:
         plan_arg, scenario_arg = None, plan_arg
-    scenario = build_scenario(load_scenario_dict(scenario_arg))
+    scenario = load_scenario(scenario_arg)
     plan_path = Path(plan_arg) if plan_arg is not None else scenario.plan_path
     if plan_path is None:
         raise ScenarioError("plan", "no plan file given and the scenario names none")
@@ -498,8 +442,9 @@ def _cmd_wdm(args) -> int:
 
     agg = aggregate(plan, scenario.source, scenario.channel, scenario.detector)
     header = ("channel", "wavelength_nm", "p_t", "p_cond", "psnr", "qber", "rate_hz")
-    rows = [(row.channel.index, row.wavelength_nm, row.metrics.p_t, row.metrics.p_cond,
-             row.metrics.psnr, row.metrics.qber, row.rate_hz) for row in agg.per_channel]
+    rows = [(row.channel.index, row.channel.center_wavelength_nm, row.metrics.p_t,
+             row.metrics.p_cond, row.metrics.psnr, row.metrics.qber, row.rate_hz)
+            for row in agg.per_channel]
     totals = ("total", None, None, None, None, agg.mean_qber, agg.total_rate_hz)
     if args.simulate:
         # run index = channel index, so no estimate depends on plan order
@@ -613,7 +558,7 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except (ValueError, OSError, ConvergenceError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

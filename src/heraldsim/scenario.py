@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .core import ChannelSpec, DetectorSpec, SourceSpec, Transmittance, _integer
 from .montecarlo import SimConfig
+from .paper import DEADTIME_S, PULSE_RATE_HZ
 
 __all__ = ["ScenarioError", "Scenario", "SCENARIO_DEFAULTS", "load_scenario_dict",
            "build_scenario", "load_scenario", "numeric_leaf_paths", "set_path"]
@@ -36,7 +37,7 @@ class ScenarioError(ValueError):
 
 SCENARIO_DEFAULTS: dict = {
     "channel": {"alpha_r_db": 0.0, "alpha_d_db": 0.0, "p_noise": 0.0},
-    "detector": {"pulse_rate_hz": 48.7e6, "deadtime_s": 10e-6},
+    "detector": {"pulse_rate_hz": PULSE_RATE_HZ, "deadtime_s": DEADTIME_S},
     "simulation": {
         "n_slots": 1_000_000,
         "seed": 0,

@@ -206,7 +206,6 @@ class ChannelMetrics:
     """
 
     channel: WdmChannel
-    wavelength_nm: float
     source: SourceSpec
     channel_spec: ChannelSpec
     metrics: LinkMetrics
@@ -250,7 +249,7 @@ def aggregate(plan: ChannelPlan, source: SourceSpec, channel: ChannelSpec,
         ch_spec = chan.resolve(channel)
         lm = link_metrics(src, ch_spec)
         rate = _channel_rate_per_slot(src, lm) * detector.pulse_rate_hz
-        rows.append(ChannelMetrics(chan, chan.center_wavelength_nm, src, ch_spec, lm, rate))
+        rows.append(ChannelMetrics(chan, src, ch_spec, lm, rate))
         total_rate += rate
         qber_weight += rate * lm.qber
     mean_qber = qber_weight / total_rate if total_rate > 0.0 else None

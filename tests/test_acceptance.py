@@ -11,19 +11,19 @@ hold for these seeds.
 import json
 import math
 import time
+from dataclasses import replace
 
 from heraldsim.calibration import MeasuredCounts, beta_mu_from_rate, calibrate_source, mu_from_g2
 from heraldsim.cli import main
-from heraldsim.core import (ChannelSpec, DetectorSpec, SourceSpec, Transmittance,
-                            g2_predicted, linear_to_db, link_metrics, psnr_gain,
-                            qber_from_psnr, rate_penalty, wcs_detection_prob)
+from heraldsim.core import (ChannelSpec, SourceSpec, Transmittance, g2_predicted,
+                            linear_to_db, link_metrics, psnr_gain, qber_from_psnr,
+                            rate_penalty)
 from heraldsim.montecarlo import SimConfig, analytic_std_errs, compare, derive_seed, simulate
+from heraldsim.paper import (APPENDIX_B_HERALD_RATE_HZ, CHI_TABLE, FIG7_CHANNELS,
+                             REFERENCE_DETECTOR as REF_DETECTOR, REFERENCE_SOURCE)
 from heraldsim.wdm import channel_wavelength
 
-REF_DETECTOR = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=10e-6)
-NO_DEADTIME = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=0.0)
-ALPHA_S = Transmittance.from_db(-6.5)
-BETA = Transmittance.from_db(-23.3)
+NO_DEADTIME = replace(REF_DETECTOR, deadtime_s=0.0)
 
 GRID_SEED = 20260815
 HBT_SEED = 424242
@@ -39,37 +39,31 @@ def _report(label: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _reference_source(alpha_s=ALPHA_S):
-    return SourceSpec.hps(0.11, alpha_s, BETA)
-
-
 def test_criterion_01_psnr_gain_table():
-    expected = {ALPHA_S: 2.26, Transmittance(0.45): 4.54, Transmittance(0.84): 8.48}
     results = []
     ok = True
-    for alpha_s, target in expected.items():
-        gain = psnr_gain(_reference_source(alpha_s))
+    for (alpha_s, _), target in zip(CHI_TABLE, (2.26, 4.54, 8.48)):
+        gain = psnr_gain(replace(REFERENCE_SOURCE, alpha_s=alpha_s))
         results.append(f"{gain:.4f} vs {target}")
         ok &= abs(gain - target) <= 0.01
     _report("criterion 1, psnr gain table within 0.01", ok, "; ".join(results))
 
 
 def test_criterion_02_reference_channel_reproduction():
-    psnr_wcs = (3.45, 4.06, 3.67)
+    want_psnr_wcs = (3.45, 4.06, 3.67)
     want_psnr_hps = (7.79, 9.18, 8.30)
     want_qber_hps = (5.7, 4.9, 5.4)
     want_qber_wcs = (11.2, 9.9, 10.7)
-    source = _reference_source()
-    loss = Transmittance(1e-3)
-    p_s = wcs_detection_prob(SourceSpec.wcs(source.mu),
-                             ChannelSpec(loss, Transmittance(1.0)))
+    wcs = SourceSpec.wcs(REFERENCE_SOURCE.mu)
     ok = True
     details = []
-    for target, ph, qh, qw in zip(psnr_wcs, want_psnr_hps, want_qber_hps, want_qber_wcs):
-        channel = ChannelSpec(loss, Transmittance(1.0), p_s / target)
-        metrics = link_metrics(source, channel)
+    for point, pw, ph, qh, qw in zip(FIG7_CHANNELS, want_psnr_wcs, want_psnr_hps,
+                                     want_qber_hps, want_qber_wcs):
+        metrics = link_metrics(REFERENCE_SOURCE, point.channel)
+        psnr_wcs = link_metrics(wcs, point.channel).psnr
         qber_hps_pct = 100.0 * qber_from_psnr(metrics.psnr)
-        qber_wcs_pct = 100.0 * qber_from_psnr(target)
+        qber_wcs_pct = 100.0 * qber_from_psnr(psnr_wcs)
+        ok &= abs(psnr_wcs - pw) <= 1e-9 * pw
         ok &= abs(metrics.psnr - ph) <= 0.05
         ok &= abs(qber_hps_pct - qh) <= 0.1
         ok &= abs(qber_wcs_pct - qw) <= 0.1
@@ -79,7 +73,8 @@ def test_criterion_02_reference_channel_reproduction():
 
 
 def test_criterion_03_calibration_and_g2_round_trip():
-    result = calibrate_source(MeasuredCounts(20e3, REF_DETECTOR), beta=BETA)
+    result = calibrate_source(MeasuredCounts(APPENDIX_B_HERALD_RATE_HZ, REF_DETECTOR),
+                              beta=REFERENCE_SOURCE.beta)
     mu = result.mu_from_rate
     ok = abs(mu - 0.110) <= 0.005
     worst = 0.0
@@ -96,7 +91,7 @@ def test_criterion_03_calibration_and_g2_round_trip():
 
 
 def test_criterion_04_rate_penalty():
-    penalty_db = linear_to_db(rate_penalty(_reference_source()))
+    penalty_db = linear_to_db(rate_penalty(REFERENCE_SOURCE))
     ok = abs(penalty_db - (-29.8)) <= 0.05
     _report("criterion 4, rate penalty in dB", ok, f"{penalty_db:.4f} vs -29.8 +/- 0.05")
 
@@ -172,7 +167,7 @@ def test_criterion_06_monte_carlo_grid():
         for loss_db in (0.0, -6.5, -13.0, -23.3):
             for p_noise in (0.0, 1e-3, 1e-2):
                 cfg = SimConfig(
-                    source=SourceSpec.hps(mu, ALPHA_S, BETA),
+                    source=replace(REFERENCE_SOURCE, mu=mu),
                     channel=ChannelSpec(Transmittance.from_db(loss_db),
                                         Transmittance(1.0), p_noise),
                     detector=NO_DEADTIME,
@@ -197,7 +192,7 @@ def test_criterion_06_monte_carlo_grid():
 def test_criterion_07_hbt_g2_at_observed_rate():
     started = time.perf_counter()
     cfg = SimConfig(
-        source=_reference_source(),
+        source=REFERENCE_SOURCE,
         channel=ChannelSpec(Transmittance(1.0), Transmittance(1.0), 0.0),
         detector=REF_DETECTOR,
         n_slots=100_000_000,
@@ -251,7 +246,8 @@ def test_criterion_09_qber_threshold_narrative(tmp_path, capsys):
     by_check = {r[0]: r for r in rows}
     hps_row = by_check["hps_qber_max_pct"]
     wcs_row = by_check["wcs_qber_pct_where_psnr_below_4.0"]
-    ok = (code == 0 and hps_row[4] == "PASS" and wcs_row[4] == "PASS")
+    ok = (code == 0 and hps_row[1] == "< 5.7" and hps_row[4] == "PASS"
+          and wcs_row[1] == "> 10.0" and wcs_row[4] == "PASS")
     _report("criterion 9, QBER threshold narrative rows", ok,
             f"exit {code}, worst hps qber {float(hps_row[2]):.2f}% < 5.7, "
             f"failing-channel wcs qber {float(wcs_row[2]):.2f}% > 10.0")

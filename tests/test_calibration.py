@@ -1,6 +1,7 @@
 """Inversion of measured herald rates and g2 back to source parameters."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,9 @@ from heraldsim.calibration import (CalibrationError, InfeasibleError,
 from heraldsim.core import (SourceSpec, Transmittance, g2_predicted,
                             heralding_efficiency, hps_conditional_detection,
                             ChannelSpec, DetectorSpec)
-
-REF_DETECTOR = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=10e-6)
-REF_BETA = Transmittance.from_db(-23.3)
+from heraldsim.paper import (APPENDIX_B_G2 as REF_G2, APPENDIX_B_HERALD_RATE_HZ as REF_RATE,
+                             REFERENCE_DETECTOR as REF_DETECTOR,
+                             REFERENCE_SOURCE as REF_SOURCE)
 
 
 def _counts(rate, g2=None, detector=REF_DETECTOR):
@@ -39,11 +40,11 @@ class TestMeasuredCounts:
 
 class TestBetaMuFromRate:
     def test_frozen_reference_point(self):
-        got = beta_mu_from_rate(_counts(20e3))
+        got = beta_mu_from_rate(_counts(REF_RATE))
         assert got == pytest.approx(0.000513347022587269, rel=1e-12)
 
     def test_no_deadtime_is_rate_over_clock(self):
-        det = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=0.0)
+        det = replace(REF_DETECTOR, deadtime_s=0.0)
         assert beta_mu_from_rate(_counts(487.0, detector=det)) == pytest.approx(
             1e-5, rel=1e-12)
 
@@ -51,8 +52,7 @@ class TestBetaMuFromRate:
         # 99999 cps with a 10 us deadtime leaves a 1e-5 live fraction;
         # the implied per-pulse probability blows past unity
         with pytest.raises(SaturationError):
-            beta_mu_from_rate(_counts(99_999.0, detector=DetectorSpec(
-                pulse_rate_hz=48.7e6, deadtime_s=1e-5)))
+            beta_mu_from_rate(_counts(99_999.0))
 
     def test_implied_probability_above_one(self):
         det = DetectorSpec(pulse_rate_hz=1e3, deadtime_s=0.0)
@@ -103,60 +103,56 @@ class TestMuFromG2:
 
 class TestCalibrateSource:
     def test_reference_rate_only(self):
-        result = calibrate_source(_counts(20e3), beta=REF_BETA)
+        result = calibrate_source(_counts(REF_RATE), beta=REF_SOURCE.beta)
         assert result.mu_from_rate == pytest.approx(0.10975164730504273, rel=1e-12)
         assert abs(result.mu_from_rate - 0.110) < 0.005
         assert result.mu_from_g2 is None and result.warning is None
         assert result.source.mu == result.mu_from_rate
 
     def test_reference_with_consistent_g2(self):
-        result = calibrate_source(_counts(20e3, g2=0.188), beta=REF_BETA)
+        result = calibrate_source(_counts(REF_RATE, g2=REF_G2), beta=REF_SOURCE.beta)
         assert result.mu_from_g2 is not None
         assert result.mismatch < 0.10
         assert result.warning is None
 
     def test_mismatch_warning(self):
         # g2 implying a mu about 20% above the rate-derived value
-        result = calibrate_source(_counts(20e3, g2=0.2189), beta=REF_BETA)
+        result = calibrate_source(_counts(REF_RATE, g2=0.2189), beta=REF_SOURCE.beta)
         assert result.warning is not None
         assert 0.10 < result.mismatch < 0.50
 
     def test_gross_mismatch_raises(self):
         with pytest.raises(CalibrationError):
-            calibrate_source(_counts(20e3, g2=0.52), beta=REF_BETA)
+            calibrate_source(_counts(REF_RATE, g2=0.52), beta=REF_SOURCE.beta)
 
     def test_alpha_s_carried_through(self):
-        alpha_s = Transmittance.from_db(-6.5)
-        result = calibrate_source(_counts(20e3), beta=REF_BETA, alpha_s=alpha_s)
+        alpha_s = REF_SOURCE.alpha_s
+        result = calibrate_source(_counts(REF_RATE), beta=REF_SOURCE.beta, alpha_s=alpha_s)
         assert result.source.alpha_s.value == alpha_s.value
-        assert result.source.beta.value == REF_BETA.value
+        assert result.source.beta.value == REF_SOURCE.beta.value
 
 
 class TestSolveChannelLoss:
     def test_round_trip(self):
-        src = SourceSpec.hps(0.11, Transmittance.from_db(-6.5), REF_BETA)
         target = hps_conditional_detection(
-            src, ChannelSpec(Transmittance(0.05), Transmittance(1.0)))
-        assert solve_channel_loss(target, src) == pytest.approx(0.05, rel=1e-9)
+            REF_SOURCE, ChannelSpec(Transmittance(0.05), Transmittance(1.0)))
+        assert solve_channel_loss(target, REF_SOURCE) == pytest.approx(0.05, rel=1e-9)
 
     @given(loss=st.floats(1e-4, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, loss):
-        src = SourceSpec.hps(0.11, Transmittance.from_db(-6.5), REF_BETA)
         target = hps_conditional_detection(
-            src, ChannelSpec(Transmittance(loss), Transmittance(1.0)))
-        assert solve_channel_loss(target, src) == pytest.approx(loss, rel=1e-6)
+            REF_SOURCE, ChannelSpec(Transmittance(loss), Transmittance(1.0)))
+        assert solve_channel_loss(target, REF_SOURCE) == pytest.approx(loss, rel=1e-6)
 
     def test_infeasible_target(self):
-        src = SourceSpec.hps(0.11, Transmittance.from_db(-6.5), REF_BETA)
-        ceiling = heralding_efficiency(src)
+        ceiling = heralding_efficiency(REF_SOURCE)
         with pytest.raises(InfeasibleError):
-            solve_channel_loss(ceiling * 1.01, src)
+            solve_channel_loss(ceiling * 1.01, REF_SOURCE)
 
     def test_nonpositive_target(self):
-        src = SourceSpec.hps(0.11, Transmittance.from_db(-6.5), REF_BETA)
         with pytest.raises(ValueError):
-            solve_channel_loss(0.0, src)
+            solve_channel_loss(0.0, REF_SOURCE)
 
     def test_wcs_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import math
 import os
 
 import pytest
@@ -11,6 +10,7 @@ import pytest
 from heraldsim import cli
 from heraldsim.cli import main
 from heraldsim.core import Transmittance
+from heraldsim.paper import FIG7_CHANNELS, PULSE_RATE_HZ
 
 REF_SOURCE_JSON = {"kind": "hps", "mu": 0.11, "alpha_s_db": -6.5, "beta_db": -23.3}
 
@@ -44,9 +44,10 @@ class TestAnalyze:
         assert "psnr_gain" in out
 
     def test_reference_channel_values(self, capsys, tmp_path):
-        # p_noise tuned so the same-mu WCS baseline sits at PSNR 4.06
-        p_s = -math.expm1(-0.11 * 1e-3)
-        path = _scenario(tmp_path, channel={"alpha_r": 1e-3, "p_noise": p_s / 4.06})
+        # channel 16: p_noise tuned so the same-mu WCS baseline sits at PSNR 4.06
+        channel = FIG7_CHANNELS[1].channel
+        path = _scenario(tmp_path, channel={"alpha_r": channel.alpha_r.value,
+                                            "p_noise": channel.p_noise})
         code, out, _ = _run(capsys, "analyze", path, "--format", "csv")
         _, rows = _parse_csv(out)
         by_metric = {r["metric"]: r for r in rows}
@@ -525,7 +526,7 @@ class TestWdm:
         assert float(rows[0]["p_cond"]) == pytest.approx(
             float(by_metric["p_cond"]["hps"]), rel=1e-11)
         expected_rate = (float(by_metric["p_t"]["hps"])
-                         * float(by_metric["p_cond"]["hps"]) * 48.7e6)
+                         * float(by_metric["p_cond"]["hps"]) * PULSE_RATE_HZ)
         assert float(rows[0]["rate_hz"]) == pytest.approx(expected_rate, rel=1e-9)
         assert float(rows[1]["rate_hz"]) == pytest.approx(expected_rate, rel=1e-9)
 
@@ -583,12 +584,8 @@ class TestWdm:
         # per-channel p_noise values that pin the WCS baseline PSNR at the
         # three reference channels; heralded QBER then lands on the
         # reference percentages
-        p_s = -math.expm1(-0.11 * 1e-3)
-        channels = [
-            {"index": 11, "p_noise": p_s / 3.45},
-            {"index": 16, "p_noise": p_s / 4.06},
-            {"index": 21, "p_noise": p_s / 3.67},
-        ]
+        channels = [{"index": point.index, "p_noise": point.channel.p_noise}
+                    for point in FIG7_CHANNELS]
         plan = self._plan(tmp_path, channels)
         scenario = _scenario(tmp_path, channel={"alpha_r": 1e-3})
         code, out, _ = _run(capsys, "wdm", plan, scenario, "--format", "csv")

@@ -6,6 +6,7 @@ frozen constants in the tests were produced by the same enumeration.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,9 @@ from heraldsim.core import (DEFAULT_REPORTING_LOSS, ChannelSpec, DetectorSpec,
                             psnr_gain, psnr_gain_approx, qber_exact,
                             qber_from_psnr, rate_penalty, wavelength_to_frequency,
                             wcs_detection_prob)
+from heraldsim.paper import CHI_TABLE, REFERENCE_SOURCE as REF_SOURCE
 
 KMAX = 400
-
-REF_SOURCE = SourceSpec.hps(0.11, Transmittance.from_db(-6.5),
-                            Transmittance.from_db(-23.3))
 
 
 def _poisson_pmf(mu):
@@ -218,15 +217,10 @@ class TestPsnrAndGain:
         assert psnr_gain(REF_SOURCE, ch) == pytest.approx(ratio, rel=1e-9)
 
     def test_gain_frozen_reference_points(self):
-        beta = Transmittance.from_db(-23.3)
-        cases = (
-            (Transmittance.from_db(-6.5), 2.2586211046047655, 2.26),
-            (Transmittance(0.45), 4.539893355285626, 4.54),
-            (Transmittance(0.84), 8.474122833774839, 8.48),
-        )
-        for alpha_s, frozen, published in cases:
-            src = SourceSpec.hps(0.11, alpha_s, beta)
-            gain = psnr_gain(src)
+        cases = ((2.2586211046047655, 2.26), (4.539893355285626, 4.54),
+                 (8.474122833774839, 8.48))
+        for (alpha_s, _), (frozen, published) in zip(CHI_TABLE, cases):
+            gain = psnr_gain(replace(REF_SOURCE, alpha_s=alpha_s))
             assert gain == pytest.approx(frozen, rel=1e-9)
             assert gain == pytest.approx(published, abs=0.01)
 
@@ -337,7 +331,7 @@ class TestLinkMetrics:
         assert m.p_cond == pytest.approx(
             hps_conditional_detection(REF_SOURCE, ch), rel=1e-12)
         assert m.p_s == pytest.approx(
-            wcs_detection_prob(SourceSpec.wcs(0.11), ch), rel=1e-12)
+            wcs_detection_prob(SourceSpec.wcs(REF_SOURCE.mu), ch), rel=1e-12)
         assert m.psnr == pytest.approx(m.p_cond / ch.p_noise, rel=1e-12)
         assert m.qber == pytest.approx(qber_exact(m.p_cond, ch.p_noise), rel=1e-12)
         assert m.psnr_gain == pytest.approx(m.p_cond / m.p_s, rel=1e-12)

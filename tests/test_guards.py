@@ -1,0 +1,59 @@
+"""Guards on what lives outside the package but must agree with it.
+
+The runtime-import guard keeps every import of ``heraldsim`` and its CLI
+to the standard library and numpy: a third-party import adds its resident
+memory to every run (scipy alone adds ~70 MB), and the benchmark bounds
+peak RSS at 5%.  The bench pin holds the benchmark's own copy of the
+reference setup, which it keeps so that it runs the same workloads on
+every checkout, to ``heraldsim.paper``.
+"""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import heraldsim
+from heraldsim import paper
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    src = str(Path(heraldsim.__file__).resolve().parent.parent)
+    code = (f"import sys\nsys.path.insert(0, {src!r})\nbefore = set(sys.modules)\n"
+            "import heraldsim, heraldsim.cli\n"
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "heraldsim" in loaded and "numpy" in loaded
+    allowed = sys.stdlib_module_names | {"heraldsim", "numpy"}
+    assert {m for m in loaded if not m.startswith("_")} <= allowed
+
+
+def _load_bench(monkeypatch, name: str, module_name: str):
+    spec = importlib.util.spec_from_file_location(module_name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, module_name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_reference_setup_matches_paper(monkeypatch):
+    # bench/workloads.py imports bench/checks.py as a top-level module
+    _load_bench(monkeypatch, "checks", "checks")
+    workloads = _load_bench(monkeypatch, "workloads", "bench_workloads")
+    assert workloads.ALPHA_S == paper.REFERENCE_SOURCE.alpha_s
+    assert workloads.BETA == paper.REFERENCE_SOURCE.beta
+    assert workloads.PULSE_RATE_HZ == paper.PULSE_RATE_HZ
+    assert workloads.REF_DETECTOR == paper.REFERENCE_DETECTOR
+    channel11 = paper.FIG7_CHANNELS[0]
+    assert channel11.index == 11
+    bench_channel, channel = workloads.REF_CHANNEL, channel11.channel
+    assert (bench_channel.alpha_r, bench_channel.alpha_d) == (channel.alpha_r, channel.alpha_d)
+    # the bench rounds channel 11's p_noise, 3.18823e-5, to 3.19e-5
+    assert bench_channel.p_noise == pytest.approx(channel.p_noise, rel=1e-3)

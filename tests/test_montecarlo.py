@@ -13,19 +13,20 @@ from pathlib import Path
 
 import pytest
 
-from heraldsim.core import ChannelSpec, DetectorSpec, SourceSpec, Transmittance
+from heraldsim.core import ChannelSpec, SourceSpec, Transmittance
 from heraldsim.montecarlo import (NOISE_MODELS, QUANTITIES, Estimate, MetricsEstimate,
                                   RunCounts, SimConfig, analytic_predictions,
                                   analytic_std_errs, compare, derive_seed,
                                   estimate_metrics, simulate)
+from heraldsim.paper import REFERENCE_DETECTOR as REF_DETECTOR, REFERENCE_SOURCE
 
-REF_DETECTOR = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=10e-6)
-NO_DEADTIME = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=0.0)
+NO_DEADTIME = dataclasses.replace(REF_DETECTOR, deadtime_s=0.0)
+BETA_3DB = Transmittance.from_db(-3.0)
 
 
-def _hps(mu=0.11, alpha_s_db=-6.5, beta_db=-23.3):
-    return SourceSpec.hps(mu, Transmittance.from_db(alpha_s_db),
-                          Transmittance.from_db(beta_db))
+def _hps(**fields):
+    """The reference source with ``fields`` replaced."""
+    return dataclasses.replace(REFERENCE_SOURCE, **fields)
 
 
 def _channel(loss=1.0, p_noise=0.0):
@@ -235,7 +236,7 @@ class TestHeraldDeadtime:
 class TestReceiverDeadtime:
     def test_thins_registrations(self):
         base = _config(channel=_channel(1.0, 1e-3), detector=REF_DETECTOR,
-                       source=_hps(mu=0.3, beta_db=-3.0), n_slots=1_000_000,
+                       source=_hps(mu=0.3, beta=BETA_3DB), n_slots=1_000_000,
                        seed=19)
         free = simulate(base)
         locked = simulate(dataclasses.replace(base, apply_receiver_deadtime=True))
@@ -243,7 +244,7 @@ class TestReceiverDeadtime:
 
     def test_car_invariant_under_receiver_deadtime(self):
         base = _config(channel=_channel(0.05, 1e-4), n_slots=4_000_000, seed=23,
-                       source=_hps(mu=0.3, beta_db=-13.0))
+                       source=_hps(mu=0.3, beta=Transmittance.from_db(-13.0)))
         locked = dataclasses.replace(base, detector=REF_DETECTOR,
                                      apply_receiver_deadtime=True)
         analytic = analytic_predictions(base)["car"]
@@ -276,7 +277,7 @@ class TestHbt:
         assert counts.hbt_n2 == counts.hbt_n3 == counts.hbt_nc == 0
 
     def test_g2_tracks_prediction(self):
-        cfg = _config(source=SourceSpec.hps(0.11, Transmittance.from_db(-6.5), 0.05),
+        cfg = _config(source=_hps(beta=0.05),
                       n_slots=3_000_000, seed=31, hbt_enabled=True)
         counts = simulate(cfg)
         est = estimate_metrics(counts, cfg)
@@ -293,7 +294,7 @@ class TestHbt:
         assert abs(est.g2.value - 1.0) < 4 * est.g2.std_err
 
     def test_noise_coupling_inflates_g2(self):
-        base = _config(source=SourceSpec.hps(0.11, Transmittance.from_db(-6.5), 0.05),
+        base = _config(source=_hps(beta=0.05),
                        channel=_channel(1.0, 0.05), n_slots=4_000_000, seed=41,
                        hbt_enabled=True)
         coupled = dataclasses.replace(base, hbt_noise_coupling=True)
@@ -315,7 +316,7 @@ class TestEstimateContainer:
 
 # (config, the quantities compare reports in order, those of them with no z)
 COMPARE_CASES = {
-    "hps": (_config(source=_hps(beta_db=-3.0), channel=_channel(0.05, 1e-2),
+    "hps": (_config(source=_hps(beta=BETA_3DB), channel=_channel(0.05, 1e-2),
                     n_slots=200_000, seed=3),
             ("p_t", "p_cond", "psnr", "qber", "car", "herald_rate_hz"), ()),
     # every slot heralds, so p_t and the herald rate have a null SE of 0
@@ -324,12 +325,12 @@ COMPARE_CASES = {
                   ("p_t", "p_cond", "psnr", "qber", "car", "herald_rate_hz"),
                   ("p_t", "herald_rate_hz")),
     # psnr is inf on both sides and qber is 0 on both sides
-    "no-noise": (_config(source=_hps(beta_db=-3.0), channel=_channel(0.05),
+    "no-noise": (_config(source=_hps(beta=BETA_3DB), channel=_channel(0.05),
                          n_slots=200_000, seed=3),
                  ("p_t", "p_cond", "psnr", "qber", "car", "herald_rate_hz"),
                  ("psnr", "qber")),
     # no closed form for g2 with noise in the HBT arms
-    "hbt-coupled": (_config(source=_hps(beta_db=-3.0), channel=_channel(1.0, 1e-2),
+    "hbt-coupled": (_config(source=_hps(beta=BETA_3DB), channel=_channel(1.0, 1e-2),
                             n_slots=200_000, seed=3, hbt_enabled=True,
                             hbt_noise_coupling=True),
                     ("p_t", "p_cond", "psnr", "qber", "g2", "car", "herald_rate_hz"),

@@ -16,11 +16,10 @@ from heraldsim.core import (ChannelSpec, DetectorSpec, SourceSpec, Transmittance
                             _integer, _real, db_to_linear, frequency_to_wavelength,
                             linear_to_db, qber_exact, wavelength_to_frequency)
 from heraldsim.montecarlo import RunCounts, SimConfig, derive_seed
+from heraldsim.paper import REFERENCE_DETECTOR as DETECTOR, REFERENCE_SOURCE as HPS
 from heraldsim.wdm import NoiseScanRow, WdmChannel, channel_wavelength
 
-HPS = SourceSpec.hps(0.11, Transmittance.from_db(-6.5), Transmittance.from_db(-23.3))
 CHANNEL = ChannelSpec(Transmittance(1e-3), Transmittance(1.0), 1e-4)
-DETECTOR = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=10e-6)
 ZERO_COUNTS = {f.name: 0 for f in dataclasses.fields(RunCounts)}
 
 # (site, name the message must start with, call with the value, an out-of-range

@@ -4,18 +4,15 @@ import json
 
 import pytest
 
-from heraldsim.core import (ChannelSpec, DetectorSpec, SourceSpec, Transmittance,
-                            link_metrics)
+from heraldsim.core import ChannelSpec, SourceSpec, Transmittance, link_metrics
+from heraldsim.paper import REFERENCE_DETECTOR as REF_DETECTOR, REFERENCE_SOURCE as REF_SOURCE
 from heraldsim.wdm import (ANCHOR_WAVELENGTH_NM, CHANNEL_COUNT,
                            CHANNEL_SPACING_HZ, NOISE_SCAN_COLUMNS, ChannelPlan,
                            NoiseScanRow, WdmChannel, aggregate,
                            channel_wavelength, load_noise_scan,
                            p_noise_from_scan)
 
-REF_SOURCE = SourceSpec.hps(0.11, Transmittance.from_db(-6.5),
-                            Transmittance.from_db(-23.3))
 REF_CHANNEL = ChannelSpec(Transmittance(1e-3), Transmittance(1.0), 1e-4)
-REF_DETECTOR = DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=10e-6)
 
 
 class TestGrid:
