@@ -12,9 +12,15 @@ the closed-form values every estimate should converge to, and
 :func:`compare` lines the two up with a z-score per quantity.
 
 Determinism: identical ``(config, seed)`` produce bit-identical
-:class:`RunCounts`.  The draw layout (order and shape of RNG calls per
-chunk) is fixed for a given set of config flags and is part of that
-contract; changing flags changes the layout and therefore the stream.
+:class:`RunCounts`.  The draw layout is part of that contract.  Each
+chunk of slots draws, in order: one Poisson photon (pair) count per
+slot; for an HPS, one uniform per slot for the herald click; one
+binomial surviving-signal-photon count per slot; when ``p_noise > 0``,
+one noise-photon count per gated slot (a uniform against ``p_noise``
+under the Bernoulli model, a Poisson count under the Poisson model);
+one uniform per gated noise click for the basis error; and with
+``hbt_enabled``, one binomial(1/2) split per gated slot.  Flags add or
+drop stages but never change how a stage draws.
 """
 
 from __future__ import annotations
@@ -192,8 +198,6 @@ def derive_seed(seed: int, run_index: int) -> int:
 
 def _p_any(k: np.ndarray, p: float) -> np.ndarray:
     """P(at least one of k photons survives Bernoulli(p) thinning)."""
-    if p <= 0.0:
-        return np.zeros(k.shape)
     if p >= 1.0:
         return (k > 0).astype(float)
     return -np.expm1(k * math.log1p(-p))
@@ -220,36 +224,34 @@ def simulate(config: SimConfig) -> RunCounts:
 
     Per slot: draw the Poisson photon (pair) count; decide the herald
     click by thinning through the herald arm (WCS: implicit herald, all
-    slots gated); in gated slots thin the signal photons through the
-    full signal path with threshold detection, draw channel noise per
-    ``noise_model``, and resolve basis errors (noise-only detections err
-    with probability 1/2, signal+noise detections with probability 1/4
-    under the Bernoulli model, or ``(1 - 0.5^k_noise)/2`` under the
-    Poisson model).  Optional herald deadtime locks the herald detector
-    for ``deadtime_slots`` slots after an accepted herald; optional
-    receiver deadtime suppresses gated detections the same way on the
-    receiver side.  With ``hbt_enabled``, surviving signal photons route
-    50/50 onto two detectors whose counts and coincidences are tallied.
-    CAR windows pair each herald with the gated signal click of the same
-    slot (coincidence) and with the candidate signal click of the next
-    slot (accidental); both ignore receiver deadtime.
+    slots gated); thin the photons through the full signal path to a
+    surviving-photon count.  Gated slots draw a noise-photon count per
+    ``noise_model`` (0 or 1, or Poisson) and click on any signal or noise
+    photon.  One error rule covers both noise models: a click with ``k``
+    noise photons errs with probability 1/2 without signal and
+    ``(1 - 0.5^k)/2`` with it (1/4 at ``k = 1``).  Optional herald
+    deadtime locks the herald detector for ``deadtime_slots`` slots after
+    an accepted herald; optional receiver deadtime suppresses gated
+    detections the same way on the receiver side.  With ``hbt_enabled``,
+    the surviving signal photons (and, under ``hbt_noise_coupling``, the
+    noise photons) route 50/50 onto two detectors whose counts and
+    coincidences are tallied.  CAR windows pair each herald with the
+    signal click of the same slot (coincidence) and of the next slot
+    (accidental); both ignore receiver deadtime.
 
     Slot arithmetic is vectorized in fixed-size chunks; only the
     deadtime lockouts scan sequentially, over accepted events.
     """
     rng = np.random.default_rng(config.seed)
-    src, ch, det = config.source, config.channel, config.detector
+    src, ch = config.source, config.channel
     is_hps = src.kind == core.HPS
     arm = (src.alpha_s.value if is_hps else 1.0) * ch.loss
-    beta = src.beta.value if is_hps else 1.0
-    mu = src.mu
     p_noise = ch.p_noise
-    poisson_noise = config.noise_model == "poisson-per-gate"
-    noise_lam = -math.log1p(-p_noise) if (poisson_noise and p_noise > 0.0) else 0.0
+    noise_lam = -math.log1p(-p_noise)
     lock = config.deadtime_slots
 
     n = config.n_slots
-    heralds = gated_total = sig_total = noise_total = reg_total = err_total = 0
+    heralds = sig_total = noise_total = reg_total = err_total = 0
     n2_total = n3_total = nc_total = 0
     coin_total = acc_total = 0
     herald_locked_until = 0
@@ -258,89 +260,63 @@ def simulate(config: SimConfig) -> RunCounts:
 
     for start in range(0, n, _CHUNK):
         m = min(_CHUNK, n - start)
-        k = rng.poisson(mu, m)
+        k = rng.poisson(src.mu, m)
 
         if is_hps:
-            cand = rng.random(m) < _p_any(k, beta)
+            herald = rng.random(m) < _p_any(k, src.beta.value)
             if config.apply_herald_deadtime:
-                idx = np.flatnonzero(cand)
+                idx = np.flatnonzero(herald)
                 keep, herald_locked_until = _lockout(idx + start, herald_locked_until, lock)
                 herald = np.zeros(m, dtype=bool)
                 herald[idx[keep]] = True
-            else:
-                herald = cand
         else:
             herald = np.ones(m, dtype=bool)
 
-        if config.hbt_enabled:
-            n_sig = rng.binomial(k, arm) if arm > 0.0 else np.zeros(m, dtype=np.int64)
-            sig = n_sig > 0
-        else:
-            sig = rng.random(m) < _p_any(k, arm)
-
-        gated = herald
-        gi = np.flatnonzero(gated)
+        # binomial draws nothing for a zero count, so skipping k == 0 keeps the stream
+        n_sig = np.zeros(m, dtype=np.int64)
+        photons = np.flatnonzero(k)
+        n_sig[photons] = rng.binomial(k[photons], arm)
+        sig = n_sig > 0
+        gi = np.flatnonzero(herald)
         g = gi.size
-        sig_g = sig[gi]
+        ns_g = n_sig[gi]
 
-        if p_noise > 0.0 and g > 0:
-            if poisson_noise:
-                kn_g = rng.poisson(noise_lam, g)
-                noise_g = kn_g > 0
-            else:
-                noise_g = rng.random(g) < p_noise
-                kn_g = noise_g.astype(np.int64)
-        else:
-            noise_g = np.zeros(g, dtype=bool)
+        if p_noise == 0.0:
             kn_g = np.zeros(g, dtype=np.int64)
+        elif config.noise_model == "poisson-per-gate":
+            kn_g = rng.poisson(noise_lam, g)
+        else:
+            kn_g = (rng.random(g) < p_noise).astype(np.int64)
 
-        sig_car = sig_g.copy()
+        coin_total += int(np.count_nonzero(ns_g))
         if config.apply_receiver_deadtime:
-            det_mask = sig_g | noise_g
-            det_pos = np.flatnonzero(det_mask)
+            det_pos = np.flatnonzero(ns_g + kn_g)
             keep, rx_locked_until = _lockout(gi[det_pos] + start, rx_locked_until, lock)
             dead = det_pos[~keep]
-            sig_g[dead] = False
-            noise_g[dead] = False
+            ns_g[dead] = 0
             kn_g[dead] = 0
+        sig_g = ns_g > 0
+        noise_g = kn_g > 0
 
         err_pos = np.flatnonzero(noise_g)
-        if err_pos.size:
-            u = rng.random(err_pos.size)
-            if poisson_noise:
-                p_both = 0.5 * -np.expm1(kn_g[err_pos] * math.log(0.5))
-            else:
-                p_both = 0.25
-            p_err = np.where(sig_g[err_pos], p_both, 0.5)
-            err_total += int(np.count_nonzero(u < p_err))
+        u = rng.random(err_pos.size)
+        p_err = np.where(sig_g[err_pos], 0.5 * -np.expm1(kn_g[err_pos] * math.log(0.5)), 0.5)
+        err_total += int(np.count_nonzero(u < p_err))
 
-        if config.hbt_enabled and g > 0:
-            ns_g = n_sig[gi]
-            if config.apply_receiver_deadtime:
-                ns_g = np.where(sig_g, ns_g, 0)
-            n2 = rng.binomial(ns_g, 0.5)
+        if config.hbt_enabled:
+            split = ns_g + kn_g if config.hbt_noise_coupling else ns_g
+            n2 = rng.binomial(split, 0.5)
             c2 = n2 > 0
-            c3 = (ns_g - n2) > 0
-            if config.hbt_noise_coupling and p_noise > 0.0:
-                if poisson_noise:
-                    kn2 = rng.binomial(kn_g, 0.5)
-                    c2 |= kn2 > 0
-                    c3 |= (kn_g - kn2) > 0
-                else:
-                    route = rng.random(g) < 0.5
-                    c2 |= noise_g & route
-                    c3 |= noise_g & ~route
+            c3 = split > n2
             n2_total += int(np.count_nonzero(c2))
             n3_total += int(np.count_nonzero(c3))
             nc_total += int(np.count_nonzero(c2 & c3))
 
-        heralds += int(np.count_nonzero(herald))
-        gated_total += g
+        heralds += g
         sig_total += int(np.count_nonzero(sig_g))
         noise_total += int(np.count_nonzero(noise_g))
         reg_total += int(np.count_nonzero(sig_g | noise_g))
 
-        coin_total += int(np.count_nonzero(herald[gi] & sig_car))
         acc_total += int(np.count_nonzero(herald[:-1] & sig[1:]))
         if prev_herald and bool(sig[0]):
             acc_total += 1
@@ -349,7 +325,7 @@ def simulate(config: SimConfig) -> RunCounts:
     return RunCounts(
         slots=n,
         heralds=heralds,
-        gated_slots=gated_total,
+        gated_slots=heralds,
         signal_detections=sig_total,
         noise_detections=noise_total,
         registered_detections=reg_total,

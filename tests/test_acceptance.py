@@ -2,10 +2,12 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 pass; on failure the assertion message carries the same detail.  The
-Monte Carlo criteria use fixed seeds so they are deterministic; the
-statistical tolerances (4 SE / 3 SE bands; on the estimates' own standard
-errors in criterion 6, on null standard errors elsewhere) were verified to
-hold for these seeds.
+Monte Carlo criteria use fixed seeds so they are deterministic.  Their
+tolerances are statistical, not fitted to those seeds: criterion 6 rejects
+an exact two-sided binomial tail below the normal 4-sigma level and allows
+5% of its checks beyond 3 sigma, and criteria 7 and 8 use 3 SE bands.
+Criterion 7's extra bound g2 < 0.20 is stricter: it sits under one SE
+above the expected 0.188 at 1e8 slots, so it fails on some seeds.
 """
 
 import json
@@ -18,7 +20,8 @@ from heraldsim.cli import main
 from heraldsim.core import (ChannelSpec, SourceSpec, Transmittance, g2_predicted,
                             linear_to_db, link_metrics, psnr_gain, qber_from_psnr,
                             rate_penalty)
-from heraldsim.montecarlo import SimConfig, analytic_std_errs, compare, derive_seed, simulate
+from heraldsim.montecarlo import (SimConfig, analytic_predictions, analytic_std_errs, compare,
+                                  derive_seed, simulate)
 from heraldsim.paper import (APPENDIX_B_HERALD_RATE_HZ, CHI_TABLE, FIG7_CHANNELS,
                              REFERENCE_DETECTOR as REF_DETECTOR, REFERENCE_SOURCE)
 from heraldsim.wdm import channel_wavelength
@@ -107,34 +110,57 @@ def test_criterion_05_channel_grid_wavelengths():
     _report("criterion 5, channel wavelengths within 0.1 nm", ok, "; ".join(results))
 
 
-def _check_grid_cell(cfg) -> tuple[list, list]:
-    """|z| and failure notes for one grid cell.
+# two-sided normal tails at 4 and 3 sigma
+P_FAIL = 6.33e-5
+P_OUTLIER = 2.70e-3
 
-    Unlike ``compare``'s z and the CLI's z_score, z here is in the estimate's
-    own SE (the null SE where a zero count makes that 0).  Cells with ~5-15
-    expected noise clicks skew psnr, a ratio of counts, beyond the normal
-    approximation: two psnr checks sit 5.0 and 5.4 null SEs out by chance.
-    The own SE grows with the realized ratio and absorbs that skew; skipping
-    cells with few expected counts instead would drop checks.
+
+def _binom_p_value(k: int, n: int, p: float) -> float:
+    """Exact two-sided p-value of k successes in n Bernoulli(p) trials.
+
+    Twice the tail beyond k on its side of the mean, capped at 1.  The sum
+    starts at k's pmf (from lgamma) and walks away from the mean, where the
+    terms only shrink, until they stop adding to it.
     """
-    rows = {row.quantity: row for row in compare(simulate(cfg), cfg)}
-    exp_gated = cfg.n_slots * rows["p_t"].analytic
-    pc = rows["p_cond"].analytic
-    pn = cfg.channel.p_noise
+    term = math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + k * math.log(p) + (n - k) * math.log1p(-p))
+    odds = p / (1.0 - p)
+    tail = 0.0
+    if k <= n * p:
+        for j in range(k, -1, -1):
+            tail += term
+            term *= j / ((n - j + 1) * odds)
+            if term <= 1e-17 * tail:
+                break
+    else:
+        for j in range(k, n + 1):
+            tail += term
+            term *= (n - j) * odds / (j + 1)
+            if term <= 1e-17 * tail:
+                break
+    return min(1.0, 2.0 * tail)
+
+
+def _check_grid_cell(cfg) -> tuple[list, list]:
+    """Exact binomial p-values and failure notes for one grid cell.
+
+    Each check is a raw count against its closed-form probability: heralds
+    out of slots, signal and noise clicks out of gated slots, errors out of
+    registered clicks.  Exact tails stay valid at the few expected counts of
+    the sparse cells, where the normal approximation behind a z-score is
+    skewed (a ratio of ~5 expected noise clicks has read 5.4 null SEs out).
+    """
+    counts = simulate(cfg)
+    rows = {row.quantity: row for row in compare(counts, cfg)}
+    pred = analytic_predictions(cfg)
+    pc, pn = pred["p_cond"], cfg.channel.p_noise
+    exp_gated = cfg.n_slots * pred["p_t"]
     exp_sig, exp_noise = exp_gated * pc, exp_gated * pn
     exp_reg = exp_gated * (pc + (1.0 - pc) * pn)
-    zs, failures = [], []
+    tests = [("heralds", counts.heralds, counts.slots, pred["p_t"]),
+             ("signal", counts.signal_detections, counts.gated_slots, pc)]
 
-    def z_check(row):
-        se = row.std_err if row.std_err > 0.0 else row.null_se
-        z = (row.estimate - row.analytic) / se
-        zs.append(abs(z))
-        if abs(z) > 4.0:
-            failures.append(f"{row.quantity} z={z:+.2f}")
-
-    z_check(rows["p_t"])
-    z_check(rows["p_cond"])
-
+    failures = []
     psnr, qber = rows.get("psnr"), rows.get("qber")
     if pn == 0.0:
         # noise-free: psnr is unbounded and errors are impossible
@@ -149,19 +175,24 @@ def _check_grid_cell(cfg) -> tuple[list, list]:
         if psnr is None or not math.isfinite(psnr.estimate):
             if math.exp(-exp_noise) <= 1e-4:
                 failures.append("no noise clicks despite expectation")
-        else:
-            z_check(psnr)
         if qber is None:
             if math.exp(-exp_reg) <= 1e-4:
                 failures.append("no registrations despite expectation")
-        else:
-            z_check(qber)
-    return zs, failures
+        tests += [("noise", counts.noise_detections, counts.gated_slots, pn),
+                  ("errors", counts.errors, counts.registered_detections, pred["qber"])]
+
+    p_values = []
+    for name, k, n, p in tests:
+        p_value = _binom_p_value(k, n, p)
+        p_values.append(p_value)
+        if p_value < P_FAIL:
+            failures.append(f"{name} {k} of {n} at {p:.4g}: p={p_value:.2g}")
+    return p_values, failures
 
 
 def test_criterion_06_monte_carlo_grid():
     started = time.perf_counter()
-    zs, failures = [], []
+    p_values, failures = [], []
     cell = 0
     for mu in (0.01, 0.11, 0.3):
         for loss_db in (0.0, -6.5, -13.0, -23.3):
@@ -174,18 +205,18 @@ def test_criterion_06_monte_carlo_grid():
                     n_slots=10_000_000,
                     seed=derive_seed(GRID_SEED, cell),
                 )
-                cell_zs, cell_failures = _check_grid_cell(cfg)
-                zs.extend(cell_zs)
+                cell_p_values, cell_failures = _check_grid_cell(cfg)
+                p_values.extend(cell_p_values)
                 failures.extend(
                     f"(mu={mu}, loss={loss_db} dB, p_noise={p_noise}) {f}"
                     for f in cell_failures)
                 cell += 1
     elapsed = time.perf_counter() - started
-    within_3 = sum(1 for z in zs if z <= 3.0) / len(zs)
+    within_3 = sum(1 for p in p_values if p >= P_OUTLIER) / len(p_values)
     ok = not failures and within_3 >= 0.95 and elapsed < 120.0
     _report("criterion 6, Monte Carlo grid vs closed forms", ok,
-            f"{cell} cells, {len(zs)} z-checks, max |z| {max(zs):.2f}, "
-            f"{100 * within_3:.1f}% within 3 SE, {elapsed:.1f} s"
+            f"{cell} cells, {len(p_values)} binomial checks, min p {min(p_values):.2g}, "
+            f"{100 * within_3:.1f}% at p >= {P_OUTLIER} (3 sigma), {elapsed:.1f} s"
             + (f"; failures: {failures}" if failures else ""))
 
 

@@ -302,6 +302,31 @@ class TestHbt:
         g2_coupled = estimate_metrics(simulate(coupled), coupled).g2.value
         assert g2_coupled > g2_base + 0.05
 
+    @pytest.mark.parametrize("noise_model", NOISE_MODELS)
+    def test_coupled_arms_match_exact_forms(self, noise_model):
+        # each arm gets half the Poisson(s) signal photons and each noise
+        # photon independently; with one Bernoulli noise photon an arm misses
+        # it with probability 1 - p_n/2
+        mu, loss, p_noise = 0.2, 0.5, 0.05
+        cfg = _config(source=SourceSpec.wcs(mu), channel=_channel(loss, p_noise),
+                      n_slots=2_000_000, seed=43, noise_model=noise_model,
+                      hbt_enabled=True, hbt_noise_coupling=True)
+        counts = simulate(cfg)
+        s = mu * loss
+        if noise_model == "poisson-per-gate":
+            lam = -math.log1p(-p_noise)
+            none_one, none_both = math.exp(-(s + lam) / 2), math.exp(-(s + lam))
+        else:
+            none_one = math.exp(-s / 2) * (1 - p_noise / 2)
+            none_both = math.exp(-s) * (1 - p_noise)
+        p_arm = 1 - none_one
+        p_coinc = 1 - 2 * none_one + none_both
+        g = counts.gated_slots
+        for name, count, p in (("n2", counts.hbt_n2, p_arm), ("n3", counts.hbt_n3, p_arm),
+                               ("nc", counts.hbt_nc, p_coinc)):
+            z = (count / g - p) / math.sqrt(p * (1 - p) / g)
+            assert abs(z) < 4.0, (name, z)
+
     def test_coupled_prediction_is_open(self):
         cfg = _config(channel=_channel(1.0, 1e-2), hbt_enabled=True,
                       hbt_noise_coupling=True)
@@ -314,7 +339,8 @@ class TestEstimateContainer:
         assert e.value == 1.0 and e.std_err == 0.1
 
 
-# (config, the quantities compare reports in order, those of them with no z)
+# (config, the quantities compare reports in order, those of them with no z,
+#  and optionally fixed counts to compare in place of a simulated run)
 COMPARE_CASES = {
     "hps": (_config(source=_hps(beta=BETA_3DB), channel=_channel(0.05, 1e-2),
                     n_slots=200_000, seed=3),
@@ -337,7 +363,11 @@ COMPARE_CASES = {
                     ("g2",)),
     # a few hundred heralds and no accidental coincidence, so no car row
     "no-accidentals": (_config(channel=_channel(0.05, 1e-2), n_slots=200_000, seed=3),
-                       ("p_t", "p_cond", "psnr", "qber", "herald_rate_hz"), ()),
+                       ("p_t", "p_cond", "psnr", "qber", "herald_rate_hz"), (),
+                       RunCounts(slots=200_000, heralds=104, gated_slots=104,
+                                 signal_detections=5, noise_detections=1,
+                                 registered_detections=6, errors=1, hbt_n2=0, hbt_n3=0,
+                                 hbt_nc=0, car_coincidences=5, car_accidentals=0)),
     # an HPS with mu = 0 never heralds: no HBT prediction, nothing conditional
     "hps-mu0-hbt": (_config(source=_hps(mu=0.0), channel=_channel(1.0, 1e-2),
                             n_slots=10_000, seed=3, hbt_enabled=True),
@@ -346,10 +376,11 @@ COMPARE_CASES = {
 
 
 class TestCompare:
-    @pytest.mark.parametrize("config,measured,no_z", COMPARE_CASES.values(),
+    @pytest.mark.parametrize("config,measured,no_z,counts",
+                             [(*case, None)[:4] for case in COMPARE_CASES.values()],
                              ids=COMPARE_CASES.keys())
-    def test_rows(self, config, measured, no_z):
-        counts = simulate(config)
+    def test_rows(self, config, measured, no_z, counts):
+        counts = counts or simulate(config)
         rows = compare(counts, config)
         assert tuple(row.quantity for row in rows) == measured
         assert tuple(row.quantity for row in rows if row.z is None) == no_z
