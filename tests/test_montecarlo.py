@@ -201,6 +201,52 @@ class TestEstimates:
             assert errs[q] > 0.0 and math.isfinite(errs[q])
 
 
+# analytic_std_errs pinned per quantity, in QUANTITIES order, at 1e6 slots
+NULL_SE_PINS = {
+    "hps-noise": (
+        _config(source=_hps(beta=BETA_3DB), channel=_channel(0.05, 1e-2)),
+        (0.00022530283498856915, 0.00047223655788371753, 0.07025734938664997,
+         0.012179212130347604, None, 1.271148455266246, 10972.248063943318)),
+    "wcs-noise": (
+        _config(source=SourceSpec.wcs(0.11), channel=_channel(0.05, 1e-3)),
+        (0.0, 7.385674331806364e-05, 0.18843803200693568, 0.0033110362347495885, None,
+         0.019043037580768675, 0.0)),
+    "hps-hbt": (
+        _config(source=_hps(beta=0.05), channel=_channel(0.5, 1e-3), hbt_enabled=True),
+        (7.385674331806364e-05, 0.004427502492870457, 52.48140813484361,
+         0.0023658600229871487, 0.0952087620388842, 1.281676353914712, 3596.8233995896994)),
+    "wcs-hbt": (
+        _config(source=SourceSpec.wcs(0.2), channel=_channel(0.5, 1e-3), hbt_enabled=True),
+        (0.0, 0.0002934393718606583, 3.022080037658604, 0.00022659157274310365,
+         0.02141095926299188, 0.0043608100038353085, 0.0)),
+    "poisson-noise": (
+        _config(channel=_channel(0.05, 5e-3), noise_model="poisson-per-gate"),
+        (2.2674032185249488e-05, 0.00488080001761848, 1.8262589582684983, 0.1172799517050478,
+         None, 13.287254401897373, 1104.2253674216502)),
+    "herald-deadtime": (
+        _config(channel=_channel(0.05, 1e-3), detector=REF_DETECTOR,
+                apply_herald_deadtime=True, hbt_enabled=True),
+        (2.0277250948405626e-05, 0.00545799434821414, 20.091680234349486,
+         0.08051564819963897, 3.448525197413297, 14.858582103912108, 987.502121187354)),
+    "both-deadtimes": (
+        _config(source=_hps(beta=BETA_3DB), channel=_channel(0.05, 1e-2), detector=REF_DETECTOR,
+                apply_herald_deadtime=True, apply_receiver_deadtime=True),
+        (4.442710156281144e-05, 0.002459347311549839, 0.365891247609047, 0.06342777175870638,
+         None, 6.62035986156794, 2163.599846108917)),
+}
+
+
+@pytest.mark.parametrize("config,pinned", NULL_SE_PINS.values(), ids=NULL_SE_PINS.keys())
+def test_null_std_errs_pinned(config, pinned):
+    errs = analytic_std_errs(config)
+    assert tuple(errs) == QUANTITIES
+    for q, want in zip(QUANTITIES, pinned):
+        if want is None:
+            assert errs[q] is None, q
+        else:
+            assert errs[q] == pytest.approx(want, rel=1e-12, abs=0.0), q
+
+
 class TestHeraldDeadtime:
     def test_rate_matches_fixed_point(self):
         cfg = _config(detector=REF_DETECTOR, n_slots=4_000_000, seed=13,
