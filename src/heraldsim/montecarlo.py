@@ -456,6 +456,19 @@ def _hbt_arm_probs(config: SimConfig) -> tuple[float, float] | None:
     return p2, p23
 
 
+def _signal_click_probs(config: SimConfig) -> tuple[float | None, float]:
+    """Signal-click probability per gated slot and per slot.
+
+    The first is None for an HPS with mu = 0, which never heralds.
+    """
+    src, ch = config.source, config.channel
+    if src.kind == core.WCS:
+        p = core.wcs_detection_prob(src, ch)
+        return p, p
+    p_qkd = core.hps_conditional_detection(src, ch) if src.mu > 0.0 else None
+    return p_qkd, -math.expm1(-src.alpha_s.value * ch.loss * src.mu)
+
+
 def analytic_predictions(config: SimConfig) -> dict[str, float | None]:
     """Closed-form expected value for each estimated quantity.
 
@@ -468,24 +481,14 @@ def analytic_predictions(config: SimConfig) -> dict[str, float | None]:
     with that flag enabled the detection-side predictions are upper
     bounds.
     """
-    src, ch = config.source, config.channel
-    is_hps = src.kind == core.HPS
     h = _herald_fraction(config)
-    if is_hps:
-        p_qkd = core.hps_conditional_detection(src, ch) if src.mu > 0.0 else None
-        p_marg = -math.expm1(-src.alpha_s.value * ch.loss * src.mu)
-        g2 = core.g2_predicted(src) if config.hbt_enabled else None
-    else:
-        p_qkd = core.wcs_detection_prob(src, ch)
-        p_marg = p_qkd
-        g2 = 1.0 if config.hbt_enabled else None
-    if config.hbt_enabled and _hbt_arm_probs(config) is None:
-        g2 = None
+    p_qkd, p_marg = _signal_click_probs(config)
+    g2 = None
+    if config.hbt_enabled and _hbt_arm_probs(config) is not None:
+        g2 = core.g2_predicted(config.source) if config.source.kind == core.HPS else 1.0
 
-    p_noise = ch.p_noise
-    psnr_val = None
-    qber_val = None
-    car = None
+    p_noise = config.channel.p_noise
+    psnr_val = qber_val = car = None
     if p_qkd is not None:
         psnr_val = math.inf if p_noise == 0.0 else p_qkd / p_noise
         if config.noise_model == "poisson-per-gate":
@@ -505,56 +508,38 @@ def analytic_predictions(config: SimConfig) -> dict[str, float | None]:
     }
 
 
+# RunCounts' fields as floats, for the expected tallies of a run
+_ExpectedCounts = NamedTuple("_ExpectedCounts", [(f.name, float) for f in fields(RunCounts)])
+
+
+def _expected_counts(config: SimConfig) -> _ExpectedCounts:
+    """Expected value of every :class:`RunCounts` tally, from the closed forms."""
+    pred = analytic_predictions(config)
+    n, h = config.n_slots, pred["p_t"]
+    p_c, p_marg = _signal_click_probs(config)
+    p_c = p_c or 0.0
+    p_n = config.channel.p_noise
+    gated = n * h
+    registered = gated * (p_c + (1.0 - p_c) * p_n)
+    p2, p23 = (_hbt_arm_probs(config) if config.hbt_enabled else None) or (0.0, 0.0)
+    return _ExpectedCounts(
+        slots=n, heralds=gated, gated_slots=gated,
+        signal_detections=gated * p_c, noise_detections=gated * p_n,
+        registered_detections=registered, errors=registered * (pred["qber"] or 0.0),
+        hbt_n2=gated * p2, hbt_n3=gated * p2, hbt_nc=gated * p23,
+        car_coincidences=gated * p_c, car_accidentals=n * h * p_marg)
+
+
 def analytic_std_errs(config: SimConfig) -> dict[str, float | None]:
-    """Null standard errors from analytic probabilities and expected counts.
+    """Null standard errors: :func:`estimate_metrics`'s SEs at the expected counts.
 
     These are the standard errors a correct simulation should exhibit,
     computed without looking at the realized tallies; z-scores built on
     them stay meaningful even when a cell's realized counts are tiny.
-    None marks quantities with no finite prediction or SE.
+    None marks quantities the estimators cannot report at those counts.
     """
-    pred = analytic_predictions(config)
-    n = config.n_slots
-    h = pred["p_t"]
-    exp_gated = n * h
-    out: dict[str, float | None] = {q: None for q in pred}
-
-    out["p_t"] = math.sqrt(h * (1.0 - h) / n)
-    out["herald_rate_hz"] = out["p_t"] * config.detector.pulse_rate_hz
-
-    pc = pred["p_cond"]
-    if pc is not None and exp_gated > 0.0:
-        out["p_cond"] = math.sqrt(pc * (1.0 - pc) / exp_gated)
-        pn = config.channel.p_noise
-        if 0.0 < pn and 0.0 < pc:
-            psnr_val = pred["psnr"]
-            out["psnr"] = psnr_val * math.sqrt(
-                (1.0 - pc) / (exp_gated * pc) + (1.0 - pn) / (exp_gated * pn))
-        q = pred["qber"]
-        exp_reg = exp_gated * (pc + (1.0 - pc) * pn)
-        if q is not None and 0.0 < q < 1.0 and exp_reg > 0.0:
-            out["qber"] = math.sqrt(q * (1.0 - q) / exp_reg)
-        p_marg = pc / pred["car"] if pred["car"] else None
-        if p_marg and pc > 0.0:
-            exp_coin = exp_gated * pc
-            exp_acc = n * h * p_marg
-            if exp_coin > 0.0 and exp_acc > 0.0:
-                out["car"] = pred["car"] * math.sqrt(
-                    (1.0 - h * pc) / exp_coin + (1.0 - h * p_marg) / exp_acc)
-
-    if config.hbt_enabled:
-        arm_probs = _hbt_arm_probs(config)
-        if arm_probs is not None and exp_gated > 0.0:
-            p2, p23 = arm_probs
-            exp_nc = exp_gated * p23
-            exp_n2 = exp_gated * p2
-            if exp_nc > 0.0 and exp_n2 > 0.0:
-                g2_center = p23 / (p2 * p2)
-                out["g2"] = g2_center * math.sqrt(
-                    (1.0 - h) / (n * h) + (1.0 - p23) / exp_nc
-                    + 2.0 * (1.0 - p2) / exp_n2)
-
-    return out
+    est = estimate_metrics(_expected_counts(config), config)
+    return {q: None if (e := getattr(est, q)) is None else e.std_err for q in QUANTITIES}
 
 
 def compare(counts: RunCounts, config: SimConfig) -> list[Comparison]:
