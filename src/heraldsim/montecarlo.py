@@ -469,27 +469,45 @@ def _signal_click_probs(config: SimConfig) -> tuple[float | None, float]:
     return p_qkd, -math.expm1(-src.alpha_s.value * ch.loss * src.mu)
 
 
+def _live_fraction(config: SimConfig, h: float, p_qkd: float) -> float:
+    """Share of receiver clicks that survive the receiver lockout.
+
+    A slot clicks i.i.d. with probability ``q = h*(p_qkd + (1 - p_qkd)*p_noise)``
+    and an accepted click locks the next ``L`` slots, so accepted clicks
+    renew every ``L + 1/q`` slots and a share ``1/(1 + L*q)`` of the clicks
+    is kept.  With herald deadtime as well, gated slots lie more than
+    ``L`` apart and no click is lost.
+    """
+    if not config.apply_receiver_deadtime or config.apply_herald_deadtime:
+        return 1.0
+    q = h * (p_qkd + (1.0 - p_qkd) * config.channel.p_noise)
+    return 1.0 / (1.0 + config.deadtime_slots * q)
+
+
 def analytic_predictions(config: SimConfig) -> dict[str, float | None]:
     """Closed-form expected value for each estimated quantity.
 
     Keys mirror :class:`MetricsEstimate`.  ``g2`` is the model
     prediction for the heralded source (1.0 for a WCS); ``car`` is the
     ratio of conditional to unconditional signal-click probability.
-    None marks quantities without a defined prediction for this config
-    (for example psnr with no signal path, or g2 with noise coupled
-    into the HBT arms).  Receiver deadtime is not modeled analytically;
-    with that flag enabled the detection-side predictions are upper
-    bounds.
+    Receiver deadtime thins ``p_cond`` by :func:`_live_fraction`; the
+    ratios psnr, qber and car are unchanged by it.  None marks quantities
+    without a defined prediction for this config: for example psnr with
+    no signal path, g2 with noise coupled into the HBT arms, or g2 when
+    receiver deadtime drops clicks, since ``H*nc/(n2*n3)`` then grows as
+    one over the live fraction.
     """
     h = _herald_fraction(config)
     p_qkd, p_marg = _signal_click_probs(config)
+    live = _live_fraction(config, h, p_qkd or 0.0)
     g2 = None
-    if config.hbt_enabled and _hbt_arm_probs(config) is not None:
+    if config.hbt_enabled and live == 1.0 and _hbt_arm_probs(config) is not None:
         g2 = core.g2_predicted(config.source) if config.source.kind == core.HPS else 1.0
 
     p_noise = config.channel.p_noise
-    psnr_val = qber_val = car = None
+    p_cond = psnr_val = qber_val = car = None
     if p_qkd is not None:
+        p_cond = p_qkd * live
         psnr_val = math.inf if p_noise == 0.0 else p_qkd / p_noise
         if config.noise_model == "poisson-per-gate":
             qber_val = _qber_poisson_noise(p_qkd, p_noise)
@@ -499,7 +517,7 @@ def analytic_predictions(config: SimConfig) -> dict[str, float | None]:
 
     return {
         "p_t": h,
-        "p_cond": p_qkd,
+        "p_cond": p_cond,
         "psnr": psnr_val,
         "qber": qber_val,
         "g2": g2,
@@ -520,13 +538,15 @@ def _expected_counts(config: SimConfig) -> _ExpectedCounts:
     p_c = p_c or 0.0
     p_n = config.channel.p_noise
     gated = n * h
-    registered = gated * (p_c + (1.0 - p_c) * p_n)
+    # the receiver lockout thins every click tally but the CAR windows
+    live = gated * _live_fraction(config, h, p_c)
+    registered = live * (p_c + (1.0 - p_c) * p_n)
     p2, p23 = (_hbt_arm_probs(config) if config.hbt_enabled else None) or (0.0, 0.0)
     return _ExpectedCounts(
         slots=n, heralds=gated, gated_slots=gated,
-        signal_detections=gated * p_c, noise_detections=gated * p_n,
+        signal_detections=live * p_c, noise_detections=live * p_n,
         registered_detections=registered, errors=registered * (pred["qber"] or 0.0),
-        hbt_n2=gated * p2, hbt_n3=gated * p2, hbt_nc=gated * p23,
+        hbt_n2=live * p2, hbt_n3=live * p2, hbt_nc=live * p23,
         car_coincidences=gated * p_c, car_accidentals=n * h * p_marg)
 
 

@@ -7,12 +7,14 @@ not from the realized counts.
 
 import dataclasses
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
 
 import pytest
 
+from heraldsim import core, montecarlo
 from heraldsim.core import ChannelSpec, SourceSpec, Transmittance
 from heraldsim.montecarlo import (NOISE_MODELS, QUANTITIES, Estimate, MetricsEstimate,
                                   RunCounts, SimConfig, analytic_predictions,
@@ -21,6 +23,7 @@ from heraldsim.montecarlo import (NOISE_MODELS, QUANTITIES, Estimate, MetricsEst
 from heraldsim.paper import REFERENCE_DETECTOR as REF_DETECTOR, REFERENCE_SOURCE
 
 NO_DEADTIME = dataclasses.replace(REF_DETECTOR, deadtime_s=0.0)
+DEAD_1US = dataclasses.replace(REF_DETECTOR, deadtime_s=1e-6)  # 49 slots
 BETA_3DB = Transmittance.from_db(-3.0)
 
 
@@ -298,6 +301,37 @@ class TestReceiverDeadtime:
         assert est.car is not None
         assert abs(est.car.value - analytic) < 4 * est.car.std_err
 
+    # sources that click every few dozen slots, so a 1 us lockout drops many clicks
+    @pytest.mark.parametrize("config", [
+        _config(source=SourceSpec.wcs(0.11), channel=_channel(0.2, 1e-3), detector=DEAD_1US,
+                apply_receiver_deadtime=True),
+        _config(source=_hps(mu=0.3, alpha_s=1.0, beta=0.5), channel=_channel(0.5, 1e-2),
+                detector=DEAD_1US, apply_receiver_deadtime=True),
+    ], ids=["wcs", "hps"])
+    def test_conditional_thinned_by_live_fraction(self, config):
+        assert abs(_zmax(config, ("p_cond",))["p_cond"]) < 4.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_herald_deadtime_leaves_nothing_to_lock(self, seed):
+        # accepted heralds lie more than the lockout apart, so no click is dropped
+        herald_only = _config(source=_hps(mu=0.3, alpha_s=1.0, beta=0.5),
+                              channel=_channel(0.5, 1e-2), detector=DEAD_1US,
+                              n_slots=300_000, seed=seed, hbt_enabled=True,
+                              apply_herald_deadtime=True)
+        both = dataclasses.replace(herald_only, apply_receiver_deadtime=True)
+        assert simulate(both) == simulate(herald_only)
+
+    @pytest.mark.parametrize("source,herald_deadtime,predicted", [
+        (SourceSpec.wcs(0.11), False, False),
+        (_hps(mu=0.3, alpha_s=1.0, beta=0.5), False, False),
+        (_hps(mu=0.3, alpha_s=1.0, beta=0.5), True, True),
+    ], ids=["wcs", "hps", "hps-herald-deadtime"])
+    def test_g2_predicted_only_when_no_click_is_lost(self, source, herald_deadtime, predicted):
+        cfg = _config(source=source, channel=_channel(0.5, 1e-2), detector=DEAD_1US,
+                      hbt_enabled=True, apply_receiver_deadtime=True,
+                      apply_herald_deadtime=herald_deadtime)
+        assert (analytic_predictions(cfg)["g2"] is not None) is predicted
+
 
 class TestCar:
     def test_against_closed_form(self):
@@ -377,6 +411,41 @@ class TestHbt:
         cfg = _config(channel=_channel(1.0, 1e-2), hbt_enabled=True,
                       hbt_noise_coupling=True)
         assert analytic_predictions(cfg)["g2"] is None
+
+
+def _closed_form_called(*args, **kwargs):
+    raise AssertionError("simulate called a closed form")
+
+
+# every flag set: HPS with each deadtime combination, WCS with or without receiver deadtime
+INDEPENDENCE_FLAGS = [
+    (kind, model, hbt, deadtime)
+    for kind, deadtimes in (("hps", ("none", "herald", "receiver", "both")),
+                            ("wcs", ("none", "receiver")))
+    for model, hbt, deadtime in itertools.product(NOISE_MODELS, ("off", "on", "coupled"), deadtimes)]
+PREDICTION_HELPERS = ("analytic_predictions", "analytic_std_errs", "_herald_fraction",
+                      "_hbt_arm_probs", "_signal_click_probs", "_live_fraction",
+                      "_qber_poisson_noise", "_expected_counts")
+
+
+@pytest.mark.parametrize("kind,noise_model,hbt,deadtime", INDEPENDENCE_FLAGS)
+def test_simulate_takes_nothing_from_closed_forms(monkeypatch, kind, noise_model, hbt,
+                                                  deadtime):
+    source = SourceSpec.wcs(0.11) if kind == "wcs" else _hps(mu=0.3, alpha_s=1.0, beta=0.5)
+    cfg = _config(source=source, channel=_channel(0.5, 1e-2), detector=DEAD_1US,
+                  n_slots=50_000, noise_model=noise_model, hbt_enabled=hbt != "off",
+                  hbt_noise_coupling=hbt == "coupled",
+                  apply_herald_deadtime=deadtime in ("herald", "both"),
+                  apply_receiver_deadtime=deadtime in ("receiver", "both"))
+    reference = simulate(cfg)
+    for name in (*core.__all__, "_conditional_detection"):
+        if callable(getattr(core, name)):
+            for module in (core, montecarlo):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _closed_form_called)
+    for name in PREDICTION_HELPERS:
+        monkeypatch.setattr(montecarlo, name, _closed_form_called)
+    assert simulate(cfg) == reference
 
 
 class TestEstimateContainer:
