@@ -261,9 +261,13 @@ def simulate(config: SimConfig) -> RunCounts:
     for start in range(0, n, _CHUNK):
         m = min(_CHUNK, n - start)
         k = rng.poisson(src.mu, m)
+        photons = np.flatnonzero(k)
 
         if is_hps:
-            herald = rng.random(m) < _p_any(k, src.beta.value)
+            # a slot without photons cannot herald, but its uniform is still drawn
+            u = rng.random(m)
+            herald = np.zeros(m, dtype=bool)
+            herald[photons] = u[photons] < _p_any(k[photons], src.beta.value)
             if config.apply_herald_deadtime:
                 idx = np.flatnonzero(herald)
                 keep, herald_locked_until = _lockout(idx + start, herald_locked_until, lock)
@@ -274,7 +278,6 @@ def simulate(config: SimConfig) -> RunCounts:
 
         # binomial draws nothing for a zero count, so skipping k == 0 keeps the stream
         n_sig = np.zeros(m, dtype=np.int64)
-        photons = np.flatnonzero(k)
         n_sig[photons] = rng.binomial(k[photons], arm)
         sig = n_sig > 0
         gi = np.flatnonzero(herald)
