@@ -9,7 +9,10 @@ HBT g2(0) measurement.  Tallies accumulate into :class:`RunCounts`;
 :func:`estimate_metrics` turns tallies into point estimates with
 binomial standard errors, :func:`analytic_predictions` computes
 the closed-form values every estimate should converge to, and
-:func:`compare` lines the two up with a z-score per quantity.
+:func:`compare` lines the two up with a z-score per quantity.  The
+z-score's null standard error (:func:`analytic_std_errs`) is
+:func:`estimate_metrics`'s own SE evaluated at the expected tallies, so
+the error propagation is written once.
 
 Determinism: identical ``(config, seed)`` produce bit-identical
 :class:`RunCounts`.  The draw layout is part of that contract.  Each
@@ -264,7 +267,7 @@ def simulate(config: SimConfig) -> RunCounts:
         photons = np.flatnonzero(k)
 
         if is_hps:
-            # a slot without photons cannot herald, but its uniform is still drawn
+            # only slots with photons can herald; a uniform for every slot keeps the stream
             u = rng.random(m)
             herald = np.zeros(m, dtype=bool)
             herald[photons] = u[photons] < _p_any(k[photons], src.beta.value)
@@ -542,15 +545,15 @@ def _expected_counts(config: SimConfig) -> _ExpectedCounts:
     p_n = config.channel.p_noise
     gated = n * h
     # the receiver lockout thins every click tally but the CAR windows
-    live = gated * _live_fraction(config, h, p_c)
-    registered = live * (p_c + (1.0 - p_c) * p_n)
+    live_gated = gated * _live_fraction(config, h, p_c)
+    registered = live_gated * (p_c + (1.0 - p_c) * p_n)
     p2, p23 = (_hbt_arm_probs(config) if config.hbt_enabled else None) or (0.0, 0.0)
     return _ExpectedCounts(
         slots=n, heralds=gated, gated_slots=gated,
-        signal_detections=live * p_c, noise_detections=live * p_n,
+        signal_detections=live_gated * p_c, noise_detections=live_gated * p_n,
         registered_detections=registered, errors=registered * (pred["qber"] or 0.0),
-        hbt_n2=live * p2, hbt_n3=live * p2, hbt_nc=live * p23,
-        car_coincidences=gated * p_c, car_accidentals=n * h * p_marg)
+        hbt_n2=live_gated * p2, hbt_n3=live_gated * p2, hbt_nc=live_gated * p23,
+        car_coincidences=gated * p_c, car_accidentals=gated * p_marg)
 
 
 def analytic_std_errs(config: SimConfig) -> dict[str, float | None]:
