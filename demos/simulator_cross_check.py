@@ -46,7 +46,7 @@ def error_scaling(cfg) -> None:
 
 
 def main() -> None:
-    cfg = load_scenario(SCENARIO).sim_config()
+    cfg = load_scenario(SCENARIO).config
     z_table(cfg)
     determinism(cfg)
     error_scaling(cfg)

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import paper
 from .calibration import MeasuredCounts, beta_mu_from_rate, calibrate_source, mu_from_g2
-from .core import (DetectorSpec, SourceSpec, Transmittance, _integer, g2_predicted,
+from .core import (DetectorSpec, SourceSpec, Transmittance, _integer, _tagged, g2_predicted,
                    linear_to_db, link_metrics, psnr_gain, psnr_gain_approx, qber_from_psnr,
                    rate_penalty)
 from .montecarlo import (_MASK64, QUANTITIES, RunCounts, compare, derive_seed,
@@ -121,10 +121,7 @@ def _emit(args, header: tuple, rows: list, *, notes: tuple = (),
 
 def _bounded(flag: str, value, lo: int, hi: float) -> int:
     """``value`` if it is an integer in [lo, hi], else an error naming ``flag``."""
-    try:
-        return _integer(flag, value, lo, hi)
-    except ValueError as exc:
-        raise ScenarioError(flag, str(exc).partition(" ")[2]) from None
+    return _tagged("", _integer, flag, value, lo, hi)
 
 
 def _check_flags(args) -> None:
@@ -160,18 +157,17 @@ def _pool_size(workers: int, n_jobs: int) -> int:
 
 
 def _run_jobs(args, jobs: list) -> tuple[list, list]:
-    """Simulate ``(scenario, run index)`` jobs; return their configs and counts.
+    """Simulate ``(SimConfig, run index)`` jobs; return the configs run and their counts.
 
     The base seed is ``--seed`` (or ``HERALDSIM_SEED``, see ``_check_flags``),
-    else the first job's scenario seed.  Each job runs
-    ``derive_seed(base, run index)`` over ``--slots`` or its scenario's
-    ``n_slots`` slots.  With ``--workers N > 1`` the jobs share one process
-    pool; no result depends on N.
+    else the first job's seed.  Each job runs ``derive_seed(base, run index)``
+    over ``--slots`` or its own ``n_slots`` slots.  With ``--workers N > 1``
+    the jobs share one process pool; no result depends on N.
     """
-    base_seed = args.seed if args.seed is not None else jobs[0][0].simulation["seed"]
-    configs = [sc.sim_config(n_slots=args.slots or sc.simulation["n_slots"],
-                             seed=derive_seed(base_seed, index))
-               for sc, index in jobs]
+    base_seed = args.seed if args.seed is not None else jobs[0][0].seed
+    configs = [replace(cfg, n_slots=args.slots or cfg.n_slots,
+                       seed=derive_seed(base_seed, index))
+               for cfg, index in jobs]
     workers = _pool_size(args.workers or 1, len(configs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -196,7 +192,7 @@ def _sim_cells(counts: RunCounts, config, quantities: tuple) -> tuple:
 # ---------------------------------------------------------------- analyze
 
 def _analyze_rows(scenario: Scenario) -> tuple[tuple, list]:
-    source, channel = scenario.source, scenario.channel
+    source, channel = scenario.config.source, scenario.config.channel
     metrics = link_metrics(source, channel)
     if source.kind == "wcs":
         header = ("metric", "value")
@@ -237,7 +233,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    configs, counts = _run_jobs(args, [(scenario, i) for i in range(args.replicas)])
+    configs, counts = _run_jobs(args, [(scenario.config, i) for i in range(args.replicas)])
     pooled = RunCounts.merge(counts)
     pooled_config = replace(configs[0], n_slots=sum(c.n_slots for c in configs))
     header = ("quantity", "estimate", "std_err", "analytic", "z_score")
@@ -278,15 +274,15 @@ def _sweep_values(args) -> list[float]:
 def _cmd_sweep(args) -> int:
     merged = load_scenario_dict(args.scenario)
     values = _sweep_values(args)
-    scenarios = []
+    grid = []
     for v in values:
         # set_path refuses an unsweepable --param at the first value, outside the try
         fragment = set_path(merged, args.param, v)
         try:
-            scenarios.append(build_scenario(fragment))
+            grid.append(build_scenario(fragment).config)
         except ScenarioError as exc:
             raise ScenarioError(exc.path, f"{exc.message} (swept value {v!r})") from exc
-    is_hps = scenarios[0].source.kind == "hps"
+    is_hps = grid[0].source.kind == "hps"
     if is_hps:
         header = (args.param, "p_s", "p_t", "p_cond", "heralding_efficiency",
                   "psnr", "qber", "psnr_gain", "psnr_gain_approx", "rate_penalty",
@@ -296,19 +292,19 @@ def _cmd_sweep(args) -> int:
 
     sim_cells = [()] * len(values)
     if args.simulate:
-        configs, counts = _run_jobs(args, [(sc, i) for i, sc in enumerate(scenarios)])
+        configs, counts = _run_jobs(args, [(cfg, i) for i, cfg in enumerate(grid)])
         sim_cells = [_sim_cells(c, cfg, SWEEP_SIM_QUANTITIES)
                      for c, cfg in zip(counts, configs)]
         header += _sim_header(SWEEP_SIM_QUANTITIES)
 
     rows = []
-    for v, sc, cells in zip(values, scenarios, sim_cells):
-        metrics = link_metrics(sc.source, sc.channel)
+    for v, cfg, cells in zip(values, grid, sim_cells):
+        metrics = link_metrics(cfg.source, cfg.channel)
         if is_hps:
-            baseline = link_metrics(SourceSpec.wcs(sc.source.mu), sc.channel)
+            baseline = link_metrics(SourceSpec.wcs(cfg.source.mu), cfg.channel)
             row = (v, metrics.p_s, metrics.p_t, metrics.p_cond,
                    metrics.heralding_efficiency, metrics.psnr, metrics.qber,
-                   metrics.psnr_gain, psnr_gain_approx(sc.source),
+                   metrics.psnr_gain, psnr_gain_approx(cfg.source),
                    metrics.rate_penalty, baseline.psnr, baseline.qber)
         else:
             row = (v, metrics.p_s, metrics.psnr, metrics.qber)
@@ -440,7 +436,8 @@ def _cmd_wdm(args) -> int:
     except ValueError as exc:
         raise ScenarioError("plan", f"{plan_path}: {exc}") from exc
 
-    agg = aggregate(plan, scenario.source, scenario.channel, scenario.detector)
+    base = scenario.config
+    agg = aggregate(plan, base.source, base.channel, base.detector)
     header = ("channel", "wavelength_nm", "p_t", "p_cond", "psnr", "qber", "rate_hz")
     rows = [(row.channel.index, row.channel.center_wavelength_nm, row.metrics.p_t,
              row.metrics.p_cond, row.metrics.psnr, row.metrics.qber, row.rate_hz)
@@ -448,7 +445,7 @@ def _cmd_wdm(args) -> int:
     totals = ("total", None, None, None, None, agg.mean_qber, agg.total_rate_hz)
     if args.simulate:
         # run index = channel index, so no estimate depends on plan order
-        jobs = [(replace(scenario, source=row.source, channel=row.channel_spec),
+        jobs = [(replace(base, source=row.source, channel=row.channel_spec),
                  row.channel.index) for row in agg.per_channel]
         configs, counts = _run_jobs(args, jobs)
         rows = [cells + _sim_cells(c, cfg, WDM_SIM_QUANTITIES)

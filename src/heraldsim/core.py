@@ -108,6 +108,47 @@ def _integer(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> i
                      f"got {value!r}")
 
 
+class ScenarioError(ValueError):
+    """Input problem, tagged with the dotted path of the field at fault."""
+
+    def __init__(self, path: str, message: str) -> None:
+        self.path = path
+        self.message = message
+        super().__init__(f"{path}: {message}" if path else message)
+
+
+def _tagged(prefix: str, build, *args, **fields):
+    """``build(*args, **fields)``, its ValueError re-raised as a ScenarioError.
+
+    Validators start each message with the name of the field at fault.  When
+    that name is a key of ``fields``, or the name a single-value check such
+    as ``_integer`` takes first, the error's path is ``<prefix>.<name>`` (the
+    name alone for an empty prefix) and its message the rest; any other
+    message is tagged with ``prefix`` whole.
+    """
+    try:
+        return build(*args, **fields)
+    except ValueError as exc:
+        message = str(exc)
+        name, _, rest = message.partition(" ")
+        if name in fields or name in args[:1]:
+            raise ScenarioError(f"{prefix}.{name}" if prefix else name, rest) from exc
+        raise ScenarioError(prefix, message) from exc
+
+
+def _require_object(path: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(path, f"must be an object, got {type(value).__name__}")
+    return value
+
+
+def _check_keys(path: str, section: dict, allowed: set) -> None:
+    unknown = set(section) - allowed
+    if unknown:
+        raise ScenarioError(path, f"unknown fields {sorted(unknown)}; "
+                                  f"allowed: {sorted(allowed)}")
+
+
 def db_to_linear(db: float) -> float:
     """Convert a power ratio from dB to linear. -10 dB -> 0.1."""
     return 10.0 ** (_real("db", db, hi=_DB_MAX, hi_open=True) / 10.0)
@@ -152,6 +193,25 @@ def _as_transmittance(name: str, x: "Transmittance | float") -> Transmittance:
     if isinstance(x, Transmittance):
         return x
     return Transmittance(_real(name, x, 0.0, 1.0, lo_open=True))
+
+
+def _transmittance_field(prefix: str, section: dict, name: str):
+    """Transmittance ``name`` of an input object, given linear or as ``<name>_db``.
+
+    A linear value is returned raw, for the domain object to check; None
+    means neither form was given.  A dB value is converted here, and its
+    errors quote the dB value as given.
+    """
+    db_name = f"{name}_db"
+    if db_name not in section:
+        return section.get(name)
+    if name in section:
+        raise ScenarioError(f"{prefix}.{name}", f"give either {name} or {db_name}, not both")
+    linear = db_to_linear(_tagged(prefix, _real, db_name, section[db_name], hi=0.0))
+    if linear == 0.0:
+        raise ScenarioError(f"{prefix}.{db_name}", "must be a dB value whose transmittance "
+                                                   f"is above 0, got {section[db_name]!r}")
+    return Transmittance(linear)
 
 
 WCS = "wcs"

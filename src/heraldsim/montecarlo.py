@@ -493,22 +493,25 @@ def _live_fraction(config: SimConfig, h: float, p_qkd: float) -> float:
 def analytic_predictions(config: SimConfig) -> dict[str, float | None]:
     """Closed-form expected value for each estimated quantity.
 
-    Keys mirror :class:`MetricsEstimate`.  ``g2`` is the model
-    prediction for the heralded source (1.0 for a WCS); ``car`` is the
-    ratio of conditional to unconditional signal-click probability.
+    Keys mirror :class:`MetricsEstimate`.  ``g2`` is ``p23 / p2**2`` from
+    :func:`_hbt_arm_probs`, the value its estimator ``H*nc/(n2*n3)``
+    converges to (1.0 for a WCS); ``car`` is the ratio of conditional to
+    unconditional signal-click probability.
     Receiver deadtime thins ``p_cond`` by :func:`_live_fraction`; the
     ratios psnr, qber and car are unchanged by it.  None marks quantities
     without a defined prediction for this config: for example psnr with
-    no signal path, g2 with noise coupled into the HBT arms, or g2 when
-    receiver deadtime drops clicks, since ``H*nc/(n2*n3)`` then grows as
-    one over the live fraction.
+    no signal path, g2 with noise coupled into the HBT arms or with no
+    arm click possible, or g2 when receiver deadtime drops clicks, since
+    ``H*nc/(n2*n3)`` then grows as one over the live fraction.
     """
     h = _herald_fraction(config)
     p_qkd, p_marg = _signal_click_probs(config)
     live = _live_fraction(config, h, p_qkd or 0.0)
+    arms = _hbt_arm_probs(config) if config.hbt_enabled and live == 1.0 else None
     g2 = None
-    if config.hbt_enabled and live == 1.0 and _hbt_arm_probs(config) is not None:
-        g2 = core.g2_predicted(config.source) if config.source.kind == core.HPS else 1.0
+    if arms is not None and arms[0] > 0.0:
+        p2, p23 = arms
+        g2 = p23 / (p2 * p2)
 
     p_noise = config.channel.p_noise
     p_cond = psnr_val = qber_val = car = None

@@ -18,21 +18,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import ChannelSpec, DetectorSpec, SourceSpec, Transmittance, _integer
+from .core import (ChannelSpec, DetectorSpec, ScenarioError, SourceSpec, _check_keys,
+                   _integer, _require_object, _tagged, _transmittance_field)
 from .montecarlo import SimConfig
 from .paper import DEADTIME_S, PULSE_RATE_HZ
 
 __all__ = ["ScenarioError", "Scenario", "SCENARIO_DEFAULTS", "load_scenario_dict",
            "build_scenario", "load_scenario", "numeric_leaf_paths", "set_path"]
-
-
-class ScenarioError(ValueError):
-    """Scenario content problem, tagged with the dotted field path."""
-
-    def __init__(self, path: str, message: str) -> None:
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}" if path else message)
 
 
 SCENARIO_DEFAULTS: dict = {
@@ -57,67 +49,12 @@ _SECTION_KEYS = {
 }
 
 
-def _require_object(path: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(path, f"must be an object, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(path: str, section: dict, allowed: set) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ScenarioError(path, f"unknown fields {sorted(unknown)}; "
-                                  f"allowed: {sorted(allowed)}")
-
-
-def _construct(section: str, cls, **fields):
-    """Build ``cls(**fields)``, tagging a ValueError with the field it names.
-
-    The domain objects start each message with the field's name.
-    """
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        message = str(exc)
-        name, _, rest = message.partition(" ")
-        if name in fields:
-            raise ScenarioError(f"{section}.{name}", rest) from exc
-        raise ScenarioError(section, message) from exc
-
-
-def _transmittance(section: dict, section_path: str, name: str,
-                   required: bool) -> Transmittance | None:
-    """Resolve a linear-or-dB transmittance pair like alpha_r / alpha_r_db."""
-    has_lin, has_db = name in section, f"{name}_db" in section
-    if has_lin and has_db:
-        raise ScenarioError(f"{section_path}.{name}",
-                            f"give either {name} or {name}_db, not both")
-    if not has_lin and not has_db:
-        if required:
-            raise ScenarioError(f"{section_path}.{name}",
-                                f"missing; give {name} or {name}_db")
-        return None
-    key = f"{name}_db" if has_db else name
-    try:
-        return Transmittance.from_db(section[key]) if has_db else Transmittance(section[key])
-    except ValueError as exc:
-        raise ScenarioError(f"{section_path}.{key}", str(exc)) from exc
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: built domain objects plus the simulation fragment."""
+    """Validated scenario: the run it describes and the channel plan it names."""
 
-    source: SourceSpec
-    channel: ChannelSpec
-    detector: DetectorSpec
-    simulation: dict
+    config: SimConfig
     plan_path: Path | None
-
-    def sim_config(self, **overrides) -> SimConfig:
-        params = {**self.simulation, **overrides}
-        return SimConfig(source=self.source, channel=self.channel,
-                         detector=self.detector, **params)
 
 
 def load_scenario_dict(path: "str | Path") -> dict:
@@ -157,44 +94,31 @@ def load_scenario_dict(path: "str | Path") -> dict:
 
 
 def build_scenario(merged: dict) -> Scenario:
-    """Validate a merged scenario dict and construct the domain objects."""
-    src_raw = _require_object("source", merged.get("source"))
-    _check_keys("source", src_raw, _SECTION_KEYS["source"])
-    kind = src_raw.get("kind")
-    if "mu" not in src_raw:
+    """Validate a dict from :func:`load_scenario_dict` and build its SimConfig."""
+    sections = {}
+    for name, allowed in _SECTION_KEYS.items():
+        sections[name] = _require_object(name, merged.get(name))
+        _check_keys(name, sections[name], allowed)
+    src, ch = sections["source"], sections["channel"]
+    if "mu" not in src:
         raise ScenarioError("source.mu", "missing")
-    alpha_s = beta = None
-    if kind == "wcs":
+    arms = {}
+    if src.get("kind") == "wcs":
         for name in ("alpha_s", "alpha_s_db", "beta", "beta_db"):
-            if name in src_raw:
+            if name in src:
                 raise ScenarioError(f"source.{name}", "not allowed for a WCS")
-    elif kind == "hps":
-        alpha_s = _transmittance(src_raw, "source", "alpha_s", required=True)
-        beta = _transmittance(src_raw, "source", "beta", required=True)
-    source = _construct("source", SourceSpec, kind=kind, mu=src_raw["mu"],
-                        alpha_s=alpha_s, beta=beta)
-
-    ch_raw = _require_object("channel", merged.get("channel", {}))
-    _check_keys("channel", ch_raw, _SECTION_KEYS["channel"])
-    if "alpha_r" not in ch_raw and "alpha_r_db" not in ch_raw:
-        ch_raw = {**ch_raw, "alpha_r_db": SCENARIO_DEFAULTS["channel"]["alpha_r_db"]}
-    if "alpha_d" not in ch_raw and "alpha_d_db" not in ch_raw:
-        ch_raw = {**ch_raw, "alpha_d_db": SCENARIO_DEFAULTS["channel"]["alpha_d_db"]}
-    alpha_r = _transmittance(ch_raw, "channel", "alpha_r", required=True)
-    alpha_d = _transmittance(ch_raw, "channel", "alpha_d", required=True)
-    channel = _construct("channel", ChannelSpec, alpha_r=alpha_r, alpha_d=alpha_d,
-                         p_noise=ch_raw.get("p_noise", 0.0))
-
-    det_raw = _require_object("detector", merged.get("detector", {}))
-    _check_keys("detector", det_raw, _SECTION_KEYS["detector"])
-    detector = _construct("detector", DetectorSpec,
-                          **{**SCENARIO_DEFAULTS["detector"], **det_raw})
-
-    sim_raw = _require_object("simulation", merged.get("simulation", {}))
-    _check_keys("simulation", sim_raw, _SECTION_KEYS["simulation"])
-    config = _construct("simulation", SimConfig, source=source, channel=channel,
-                        detector=detector, **{**SCENARIO_DEFAULTS["simulation"], **sim_raw})
-    simulation = {key: getattr(config, key) for key in SCENARIO_DEFAULTS["simulation"]}
+    elif src.get("kind") == "hps":
+        for name in ("alpha_s", "beta"):
+            arms[name] = _transmittance_field("source", src, name)
+            if arms[name] is None:
+                raise ScenarioError(f"source.{name}", f"missing; give {name} or {name}_db")
+    source = _tagged("source", SourceSpec, kind=src.get("kind"), mu=src["mu"], **arms)
+    channel = _tagged("channel", ChannelSpec, p_noise=ch.get("p_noise"),
+                      **{name: _transmittance_field("channel", ch, name)
+                         for name in ("alpha_r", "alpha_d")})
+    detector = _tagged("detector", DetectorSpec, **sections["detector"])
+    config = _tagged("simulation", SimConfig, source=source, channel=channel,
+                     detector=detector, **sections["simulation"])
 
     plan_path = None
     if merged.get("plan") is not None:
@@ -202,7 +126,7 @@ def build_scenario(merged: dict) -> Scenario:
             raise ScenarioError("plan", f"must be a path string, got {merged['plan']!r}")
         plan_path = Path(merged.get("_dir", ".")) / merged["plan"]
 
-    return Scenario(source, channel, detector, simulation, plan_path)
+    return Scenario(config, plan_path)
 
 
 def load_scenario(path: "str | Path") -> Scenario:
@@ -234,10 +158,7 @@ def set_path(merged: dict, dotted: str, value: float) -> dict:
                                     + ", ".join(numeric_leaf_paths(merged)))
     section, key = dotted.split(".", 1)
     if key == "n_slots":
-        try:
-            value = _integer(key, value)
-        except ValueError as exc:
-            raise ScenarioError(dotted, str(exc).partition(" ")[2]) from exc
+        value = _tagged(section, _integer, key, value)
     out = copy.deepcopy(merged)
     out[section][key] = value
     return out

@@ -15,9 +15,10 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .core import (ChannelSpec, DetectorSpec, LinkMetrics, SourceSpec, Transmittance,
-                   _integer, _real, frequency_to_wavelength, link_metrics,
-                   wavelength_to_frequency)
+from .core import (ChannelSpec, DetectorSpec, LinkMetrics, ScenarioError, SourceSpec,
+                   Transmittance, _as_transmittance, _check_keys, _integer, _real,
+                   _require_object, _tagged, _transmittance_field, frequency_to_wavelength,
+                   link_metrics, wavelength_to_frequency)
 
 __all__ = [
     "CHANNEL_COUNT",
@@ -78,6 +79,9 @@ class WdmChannel:
                                       0.0, lo_open=True))
         object.__setattr__(self, "sfwm_weight",
                            _real("sfwm_weight", self.sfwm_weight, 0.0, 1.0, lo_open=True))
+        for name in ("alpha_r", "alpha_d"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_transmittance(name, getattr(self, name)))
         if self.p_noise is not None:
             object.__setattr__(self, "p_noise",
                                _real("p_noise", self.p_noise, 0.0, 1.0, hi_open=True))
@@ -89,6 +93,10 @@ class WdmChannel:
             alpha_d=self.alpha_d if self.alpha_d is not None else base.alpha_d,
             p_noise=self.p_noise if self.p_noise is not None else base.p_noise,
         )
+
+
+_ENTRY_KEYS = {"index", "center_wavelength_nm", "sfwm_weight", "alpha_r_db", "alpha_d_db",
+               "p_noise"}
 
 
 @dataclass(frozen=True)
@@ -116,34 +124,21 @@ class ChannelPlan:
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelPlan":
         """Plan from parsed JSON; an entry's errors name it as ``channels[i].<field>``."""
-        if not isinstance(data, dict) or "channels" not in data:
-            raise ValueError("channel plan JSON must be an object with a 'channels' list")
-        entries = data["channels"]
-        if not isinstance(entries, list):
-            raise ValueError("'channels' must be a list")
+        _check_keys("", _require_object("", data), {"channels"})
+        if "channels" not in data:
+            raise ScenarioError("channels", "missing; a plan must list its channels")
+        if not isinstance(data["channels"], list):
+            raise ScenarioError("channels", "must be a list")
         chans = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ValueError(f"channels[{i}] must be an object")
-            known = {"index", "center_wavelength_nm", "sfwm_weight",
-                     "alpha_r_db", "alpha_d_db", "p_noise"}
-            unknown = set(entry) - known
-            if unknown:
-                raise ValueError(f"channels[{i}]: unknown fields {sorted(unknown)}")
+        for i, entry in enumerate(data["channels"]):
+            prefix = f"channels[{i}]"
+            _check_keys(prefix, _require_object(prefix, entry), _ENTRY_KEYS)
             if "index" not in entry:
-                raise ValueError(f"channels[{i}]: missing 'index'")
-            fields = {k: v for k, v in entry.items() if not k.endswith("_db")}
-            for key in ("alpha_r_db", "alpha_d_db"):
-                if key in entry:
-                    try:
-                        fields[key[:-3]] = Transmittance.from_db(entry[key])
-                    except ValueError as exc:
-                        raise ValueError(f"channels[{i}].{key}: {exc}") from exc
-            try:
-                chans.append(WdmChannel(**fields))
-            except ValueError as exc:
-                name, _, rest = str(exc).partition(" ")
-                raise ValueError(f"channels[{i}].{name}: {rest}") from exc
+                raise ScenarioError(f"{prefix}.index", "missing")
+            fields = {key: value for key, value in entry.items() if not key.endswith("_db")}
+            chans.append(_tagged(prefix, WdmChannel, **fields,
+                                 **{name: _transmittance_field(prefix, entry, name)
+                                    for name in ("alpha_r", "alpha_d")}))
         return cls(tuple(chans))
 
     @classmethod

@@ -507,6 +507,33 @@ class TestReproduce:
             main(["reproduce", "everything"])
 
 
+class TestErrorRule:
+    """A bad scenario or plan field exits 2 with ``<path>: must be ...``."""
+
+    @pytest.mark.parametrize("path,value", [
+        ("source.alpha_s", 1.5), ("source.alpha_s_db", "x"), ("channel.alpha_r_db", 1),
+        ("channel.p_noise", 1.0), ("simulation.n_slots", 2.5),
+        ("channels[0].alpha_r_db", 1), ("channels[0].p_noise", 1.0)])
+    def test_field_error_names_its_path_once(self, capsys, tmp_path, path, value):
+        section, field = path.split(".")
+        sections, argv = {"source": dict(REF_SOURCE_JSON)}, ["analyze"]
+        if section == "channels[0]":
+            plan = tmp_path / "plan.json"
+            plan.write_text(json.dumps({"channels": [{"index": 1, field: value}]}),
+                            encoding="utf-8")
+            argv = ["wdm", str(plan)]
+        else:
+            fragment = sections.setdefault(section, {})
+            fragment.pop("alpha_s_db", None)  # alpha_s and alpha_s_db exclude each other
+            fragment[field] = value
+        code, out, err = _run(capsys, *argv, _scenario(tmp_path, **sections))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f" {path}: must be " in err
+        assert err.count(path) == 1
+        if field.endswith("_db"):  # the value the file gave, not its linear form
+            assert err.endswith(f", got {value!r}\n")
+
+
 class TestWdm:
     def _plan(self, tmp_path, channels, name="plan.json"):
         path = tmp_path / name

@@ -5,9 +5,13 @@ to the standard library and numpy: a third-party import adds its resident
 memory to every run (scipy alone adds ~70 MB), and the benchmark bounds
 peak RSS at 5%.  The bench pin holds the benchmark's own copy of the
 reference setup, which it keeps so that it runs the same workloads on
-every checkout, to ``heraldsim.paper``.
+every checkout, to ``heraldsim.paper``.  The tracer pin keeps the names the
+benchmark's per-layer spans wrap: the tracer skips a name it cannot find,
+so a rename would silently drop that layer's metrics.
 """
 
+import dataclasses
+import importlib
 import importlib.util
 import subprocess
 import sys
@@ -17,6 +21,7 @@ import pytest
 
 import heraldsim
 from heraldsim import paper
+from heraldsim.montecarlo import RunCounts
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -57,3 +62,13 @@ def test_bench_reference_setup_matches_paper(monkeypatch):
     assert (bench_channel.alpha_r, bench_channel.alpha_d) == (channel.alpha_r, channel.alpha_d)
     # the bench rounds channel 11's p_noise, 3.18823e-5, to 3.19e-5
     assert bench_channel.p_noise == pytest.approx(channel.p_noise, rel=1e-3)
+
+
+def test_bench_tracer_names_resolve(monkeypatch):
+    tracing = _load_bench(monkeypatch, "tracing", "bench_tracing")
+    for layer, (home, names) in tracing.LAYERS.items():
+        module = importlib.import_module(home)
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (layer, missing)
+    fields = {f.name for f in dataclasses.fields(RunCounts)}
+    assert {"slots", "heralds", "gated_slots"} <= fields

@@ -366,6 +366,16 @@ class TestHbt:
         tol = max(3 * est.g2.std_err, 0.05 * analytic)
         assert abs(est.g2.value - analytic) < tol
 
+    # criterion 7's config, where core.g2_predicted's arm -> 0 limit reads 0.188039
+    @pytest.mark.parametrize("source,expected", [
+        (REFERENCE_SOURCE, 0.18899082616567), (SourceSpec.wcs(0.11), 1.0)],
+        ids=["hps", "wcs"])
+    def test_g2_prediction_is_the_estimator_limit(self, source, expected):
+        # p23 / p2^2 from the arm probabilities, the limit of H*nc/(n2*n3)
+        cfg = _config(source=source, detector=REF_DETECTOR, hbt_enabled=True,
+                      apply_herald_deadtime=source.kind == "hps")
+        assert analytic_predictions(cfg)["g2"] == pytest.approx(expected, rel=1e-12)
+
     def test_wcs_g2_is_one(self):
         cfg = _config(source=SourceSpec.wcs(0.2), channel=_channel(0.5),
                       n_slots=2_000_000, seed=37, hbt_enabled=True)

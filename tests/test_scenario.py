@@ -24,24 +24,23 @@ def _load(tmp_path, data):
 class TestLoading:
     def test_minimal_hps(self, tmp_path):
         sc = _load(tmp_path, {"source": HPS_SOURCE})
-        assert sc.source.kind == "hps"
-        assert sc.source.alpha_s.db == pytest.approx(-6.5, abs=1e-12)
-        assert sc.channel.loss == 1.0
-        assert sc.detector.pulse_rate_hz == 48.7e6
-        assert sc.simulation["n_slots"] == 1_000_000
+        assert sc.config.source.kind == "hps"
+        assert sc.config.source.alpha_s.db == pytest.approx(-6.5, abs=1e-12)
+        assert sc.config.channel.loss == 1.0
+        assert sc.config.detector.pulse_rate_hz == 48.7e6
+        assert sc.config.n_slots == 1_000_000
         assert sc.plan_path is None
 
     def test_minimal_wcs(self, tmp_path):
         sc = _load(tmp_path, {"source": {"kind": "wcs", "mu": 0.11}})
-        assert sc.source.kind == "wcs"
-        assert sc.source.alpha_s is None
+        assert sc.config.source.kind == "wcs"
+        assert sc.config.source.alpha_s is None
 
-    def test_sim_config_overrides(self, tmp_path):
+    def test_config_carries_simulation_fields(self, tmp_path):
         sc = _load(tmp_path, {"source": HPS_SOURCE,
                               "simulation": {"n_slots": 5000, "seed": 9}})
-        cfg = sc.sim_config(seed=11)
-        assert isinstance(cfg, SimConfig)
-        assert cfg.n_slots == 5000 and cfg.seed == 11
+        assert isinstance(sc.config, SimConfig)
+        assert sc.config.n_slots == 5000 and sc.config.seed == 9
 
     def test_plan_path_resolves_relative(self, tmp_path):
         path = _write(tmp_path, {"source": HPS_SOURCE, "plan": "plans/p.json"})
@@ -181,8 +180,8 @@ class TestValidationPaths:
     def test_integral_floats_become_ints(self, tmp_path):
         sc = _load(tmp_path, {"source": HPS_SOURCE,
                               "simulation": {"n_slots": 2e5, "seed": 3.0}})
-        assert sc.simulation["n_slots"] == 200_000 and sc.simulation["seed"] == 3
-        assert type(sc.simulation["n_slots"]) is int and type(sc.simulation["seed"]) is int
+        assert sc.config.n_slots == 200_000 and sc.config.seed == 3
+        assert type(sc.config.n_slots) is int and type(sc.config.seed) is int
 
 
 class TestSweepPaths:
@@ -202,7 +201,7 @@ class TestSweepPaths:
         out = set_path(merged, "source.mu", 0.2)
         assert out["source"]["mu"] == 0.2
         assert merged["source"]["mu"] == 0.11  # original untouched
-        assert build_scenario(out).source.mu == 0.2
+        assert build_scenario(out).config.source.mu == 0.2
 
     def test_set_path_coerces_integer_leaves(self, tmp_path):
         merged = load_scenario_dict(_write(tmp_path, {"source": HPS_SOURCE}))

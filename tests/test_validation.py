@@ -49,6 +49,8 @@ REAL_SITES = [
     ("WdmChannel.center_wavelength_nm", "center_wavelength_nm",
      lambda v: WdmChannel(1, center_wavelength_nm=v), 0.0),
     ("WdmChannel.sfwm_weight", "sfwm_weight", lambda v: WdmChannel(1, sfwm_weight=v), 1.5),
+    ("WdmChannel.alpha_r", "alpha_r", lambda v: WdmChannel(1, alpha_r=v), 1.5),
+    ("WdmChannel.alpha_d", "alpha_d", lambda v: WdmChannel(1, alpha_d=v), 0.0),
     ("WdmChannel.p_noise", "p_noise", lambda v: WdmChannel(1, p_noise=v), 1.0),
     ("NoiseScanRow.laser_wavelength_nm", "laser_wavelength_nm",
      lambda v: NoiseScanRow(v, 974.0, 48.7e6), 0.0),

@@ -110,6 +110,10 @@ class TestChannelPlan:
         with pytest.raises(ValueError):
             ChannelPlan.from_dict({})
 
+    def test_from_dict_rejects_unknown_top_level_keys(self):
+        with pytest.raises(ValueError, match=r"unknown fields \['extra'\]"):
+            ChannelPlan.from_dict({"channels": [{"index": 1}], "extra": 1})
+
 
 class TestNoiseScan:
     def test_p_noise_from_scan(self):
