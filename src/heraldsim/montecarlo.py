@@ -6,13 +6,15 @@ through the relevant transmittances with threshold detection at both
 ends, adds channel noise on gated slots, applies the basis-error
 bookkeeping, and optionally splits the receiver photons 50/50 for an
 HBT g2(0) measurement.  Tallies accumulate into :class:`RunCounts`;
-:func:`estimate_metrics` turns tallies into point estimates with
-binomial standard errors, :func:`analytic_predictions` computes
-the closed-form values every estimate should converge to, and
-:func:`compare` lines the two up with a z-score per quantity.  The
-z-score's null standard error (:func:`analytic_std_errs`) is
-:func:`estimate_metrics`'s own SE evaluated at the expected tallies, so
-the error propagation is written once.
+:func:`estimate_metrics` turns them into estimates with binomial
+standard errors.  One rule gives every prediction: it is the estimator
+at the expected tallies (slot counts times per-slot probabilities), and
+its null SE (:func:`analytic_std_errs`) is the estimator's SE there;
+:func:`compare` lines both up with a run's estimates as z-scores.  So
+g2 is predicted as ``p23 / p2**2`` (1 for a WCS); receiver deadtime
+thins p_cond, cancels from psnr and qber, and leaves g2 unpredicted
+when it alone drops clicks; and a quantity with no estimate at the
+expected tallies has no prediction.
 
 Determinism: identical ``(config, seed)`` produce bit-identical
 :class:`RunCounts`.  The draw layout is part of that contract.  Each
@@ -35,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .core import ChannelSpec, DetectorSpec, SourceSpec, _integer, qber_exact
+from .core import ChannelSpec, DetectorSpec, SourceSpec, _integer
 
 __all__ = [
     "NOISE_MODELS",
@@ -408,21 +410,6 @@ def estimate_metrics(counts: RunCounts, config: SimConfig) -> MetricsEstimate:
                            g2=g2, car=car, herald_rate_hz=rate)
 
 
-def _qber_poisson_noise(p_qkd: float, p_noise: float) -> float:
-    """Exact QBER under the Poisson noise model.
-
-    With a Poisson noise count of mean ``-ln(1 - p_noise)``, the
-    signal+noise error probability generalizes from 1/4 to
-    ``(1 - sqrt(1 - p_noise)) / 2`` after averaging over the count.
-    """
-    p_err = ((1.0 - p_qkd) * p_noise / 2.0
-             + p_qkd * (1.0 - math.sqrt(1.0 - p_noise)) / 2.0)
-    p_reg = p_qkd + (1.0 - p_qkd) * p_noise
-    if p_reg == 0.0:
-        return 0.0
-    return p_err / p_reg
-
-
 def _herald_fraction(config: SimConfig) -> float:
     """Expected heralds per slot, including herald-deadtime thinning.
 
@@ -462,77 +449,31 @@ def _hbt_arm_probs(config: SimConfig) -> tuple[float, float] | None:
     return p2, p23
 
 
-def _signal_click_probs(config: SimConfig) -> tuple[float | None, float]:
+def _signal_click_probs(config: SimConfig) -> tuple[float, float]:
     """Signal-click probability per gated slot and per slot.
 
-    The first is None for an HPS with mu = 0, which never heralds.
+    The first is 0 for an HPS with mu = 0, which never heralds.
     """
     src, ch = config.source, config.channel
     if src.kind == core.WCS:
         p = core.wcs_detection_prob(src, ch)
         return p, p
-    p_qkd = core.hps_conditional_detection(src, ch) if src.mu > 0.0 else None
+    p_qkd = core.hps_conditional_detection(src, ch) if src.mu > 0.0 else 0.0
     return p_qkd, -math.expm1(-src.alpha_s.value * ch.loss * src.mu)
 
 
-def _live_fraction(config: SimConfig, h: float, p_qkd: float) -> float:
+def _live_fraction(config: SimConfig, q: float) -> float:
     """Share of receiver clicks that survive the receiver lockout.
 
-    A slot clicks i.i.d. with probability ``q = h*(p_qkd + (1 - p_qkd)*p_noise)``
-    and an accepted click locks the next ``L`` slots, so accepted clicks
-    renew every ``L + 1/q`` slots and a share ``1/(1 + L*q)`` of the clicks
-    is kept.  With herald deadtime as well, gated slots lie more than
-    ``L`` apart and no click is lost.
+    A slot clicks i.i.d. with probability ``q`` and an accepted click
+    locks the next ``L`` slots, so accepted clicks renew every
+    ``L + 1/q`` slots and a share ``1/(1 + L*q)`` of the clicks is kept.
+    With herald deadtime as well, gated slots lie more than ``L`` apart
+    and no click is lost.
     """
     if not config.apply_receiver_deadtime or config.apply_herald_deadtime:
         return 1.0
-    q = h * (p_qkd + (1.0 - p_qkd) * config.channel.p_noise)
     return 1.0 / (1.0 + config.deadtime_slots * q)
-
-
-def analytic_predictions(config: SimConfig) -> dict[str, float | None]:
-    """Closed-form expected value for each estimated quantity.
-
-    Keys mirror :class:`MetricsEstimate`.  ``g2`` is ``p23 / p2**2`` from
-    :func:`_hbt_arm_probs`, the value its estimator ``H*nc/(n2*n3)``
-    converges to (1.0 for a WCS); ``car`` is the ratio of conditional to
-    unconditional signal-click probability.
-    Receiver deadtime thins ``p_cond`` by :func:`_live_fraction`; the
-    ratios psnr, qber and car are unchanged by it.  None marks quantities
-    without a defined prediction for this config: for example psnr with
-    no signal path, g2 with noise coupled into the HBT arms or with no
-    arm click possible, or g2 when receiver deadtime drops clicks, since
-    ``H*nc/(n2*n3)`` then grows as one over the live fraction.
-    """
-    h = _herald_fraction(config)
-    p_qkd, p_marg = _signal_click_probs(config)
-    live = _live_fraction(config, h, p_qkd or 0.0)
-    arms = _hbt_arm_probs(config) if config.hbt_enabled and live == 1.0 else None
-    g2 = None
-    if arms is not None and arms[0] > 0.0:
-        p2, p23 = arms
-        g2 = p23 / (p2 * p2)
-
-    p_noise = config.channel.p_noise
-    p_cond = psnr_val = qber_val = car = None
-    if p_qkd is not None:
-        p_cond = p_qkd * live
-        psnr_val = math.inf if p_noise == 0.0 else p_qkd / p_noise
-        if config.noise_model == "poisson-per-gate":
-            qber_val = _qber_poisson_noise(p_qkd, p_noise)
-        else:
-            qber_val = qber_exact(p_qkd, p_noise)
-        car = p_qkd / p_marg if p_marg > 0.0 else None
-
-    return {
-        "p_t": h,
-        "p_cond": p_cond,
-        "psnr": psnr_val,
-        "qber": qber_val,
-        "g2": g2,
-        "car": car,
-        "herald_rate_hz": h * config.detector.pulse_rate_hz,
-    }
 
 
 # RunCounts' fields as floats, for the expected tallies of a run
@@ -540,54 +481,80 @@ _ExpectedCounts = NamedTuple("_ExpectedCounts", [(f.name, float) for f in fields
 
 
 def _expected_counts(config: SimConfig) -> _ExpectedCounts:
-    """Expected value of every :class:`RunCounts` tally, from the closed forms."""
-    pred = analytic_predictions(config)
-    n, h = config.n_slots, pred["p_t"]
+    """Expected value of every :class:`RunCounts` tally, from per-slot probabilities.
+
+    Each tally is its slot count times the probability :func:`simulate`
+    adds to it per slot.  Errors follow simulate's one rule: a click with
+    ``k`` noise photons errs with probability 1/2 without signal and
+    ``(1 - 0.5^k)/2`` with it, so a gated slot errs with probability
+    ``((1 - p_c)*p_n + p_c*E[1 - 0.5^k]) / 2``.
+    """
+    n, h = config.n_slots, _herald_fraction(config)
     p_c, p_marg = _signal_click_probs(config)
-    p_c = p_c or 0.0
     p_n = config.channel.p_noise
+    # mixed = E[1 - 0.5^k]; under the Poisson model k ~ Poisson(-ln(1 - p_n)),
+    # so E[0.5^k] = sqrt(1 - p_n)
+    if config.noise_model == "poisson-per-gate":
+        mixed = -math.expm1(0.5 * math.log1p(-p_n))
+    else:
+        mixed = p_n / 2.0
+    p_click = p_c + (1.0 - p_c) * p_n
+    live = _live_fraction(config, h * p_click)
     gated = n * h
     # the receiver lockout thins every click tally but the CAR windows
-    live_gated = gated * _live_fraction(config, h, p_c)
-    registered = live_gated * (p_c + (1.0 - p_c) * p_n)
-    p2, p23 = (_hbt_arm_probs(config) if config.hbt_enabled else None) or (0.0, 0.0)
+    live_gated = gated * live
+    # H*nc/(n2*n3) grows as 1/live once the lockout drops clicks, so g2 then gets no arms
+    arms = _hbt_arm_probs(config) if config.hbt_enabled and live == 1.0 else None
+    p2, p23 = arms or (0.0, 0.0)
     return _ExpectedCounts(
         slots=n, heralds=gated, gated_slots=gated,
         signal_detections=live_gated * p_c, noise_detections=live_gated * p_n,
-        registered_detections=registered, errors=registered * (pred["qber"] or 0.0),
+        registered_detections=live_gated * p_click,
+        errors=live_gated * ((1.0 - p_c) * p_n + p_c * mixed) / 2.0,
         hbt_n2=live_gated * p2, hbt_n3=live_gated * p2, hbt_nc=live_gated * p23,
         car_coincidences=gated * p_c, car_accidentals=gated * p_marg)
 
 
+def _at_expected_counts(config: SimConfig, part: str) -> dict[str, float | None]:
+    est = estimate_metrics(_expected_counts(config), config)
+    return {q: None if (e := getattr(est, q)) is None else getattr(e, part) for q in QUANTITIES}
+
+
+def analytic_predictions(config: SimConfig) -> dict[str, float | None]:
+    """Expected value of each estimated quantity: the estimator at the expected tallies.
+
+    Keys mirror :class:`MetricsEstimate`; None marks quantities the
+    estimators cannot report at those tallies.
+    """
+    return _at_expected_counts(config, "value")
+
+
 def analytic_std_errs(config: SimConfig) -> dict[str, float | None]:
-    """Null standard errors: :func:`estimate_metrics`'s SEs at the expected counts.
+    """Null standard errors: :func:`estimate_metrics`'s SEs at the expected tallies.
 
     These are the standard errors a correct simulation should exhibit,
     computed without looking at the realized tallies; z-scores built on
     them stay meaningful even when a cell's realized counts are tiny.
-    None marks quantities the estimators cannot report at those counts.
     """
-    est = estimate_metrics(_expected_counts(config), config)
-    return {q: None if (e := getattr(est, q)) is None else e.std_err for q in QUANTITIES}
+    return _at_expected_counts(config, "std_err")
 
 
 def compare(counts: RunCounts, config: SimConfig) -> list[Comparison]:
-    """Each quantity the run measured beside its closed form, in QUANTITIES order.
+    """Each quantity the run measured beside its prediction, in QUANTITIES order.
 
-    Quantities :func:`estimate_metrics` returns as None get no row.  ``null_se``
-    is :func:`analytic_std_errs`'s SE from expected counts; ``z`` is
-    ``(estimate - analytic) / null_se``, None unless all three are finite and
-    ``null_se > 0``.
+    Quantities :func:`estimate_metrics` returns as None get no row.
+    ``analytic`` and ``null_se`` are the estimate and its SE at the
+    expected tallies; ``z`` is ``(estimate - analytic) / null_se``, None
+    unless all three are finite and ``null_se > 0``.
     """
     est = estimate_metrics(counts, config)
-    pred = analytic_predictions(config)
-    errs = analytic_std_errs(config)
+    expected = estimate_metrics(_expected_counts(config), config)
     rows = []
     for q in QUANTITIES:
-        e = getattr(est, q)
+        e, x = getattr(est, q), getattr(expected, q)
         if e is None:
             continue
-        analytic, se = pred[q], errs[q]
+        analytic, se = (None, None) if x is None else (x.value, x.std_err)
         z = None
         if (analytic is not None and math.isfinite(analytic) and math.isfinite(e.value)
                 and se is not None and math.isfinite(se) and se > 0.0):

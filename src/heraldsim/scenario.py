@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (ChannelSpec, DetectorSpec, ScenarioError, SourceSpec, _check_keys,
-                   _integer, _require_object, _tagged, _transmittance_field)
+                   _require_object, _tagged, _transmittance_field)
 from .montecarlo import SimConfig
 from .paper import DEADTIME_S, PULSE_RATE_HZ
 
@@ -157,8 +157,6 @@ def set_path(merged: dict, dotted: str, value: float) -> dict:
         raise ScenarioError(dotted, "not a sweepable parameter; valid paths: "
                                     + ", ".join(numeric_leaf_paths(merged)))
     section, key = dotted.split(".", 1)
-    if key == "n_slots":
-        value = _tagged(section, _integer, key, value)
     out = copy.deepcopy(merged)
     out[section][key] = value
     return out

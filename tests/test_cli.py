@@ -413,6 +413,14 @@ class TestSweep:
         assert err.startswith("error: channel.p_noise: ")
         assert err.count("channel.p_noise") == 1 and "1.0" in err
 
+    def test_non_integral_slot_grid_names_range_and_value(self, capsys, tmp_path):
+        path = _scenario(tmp_path)
+        code, out, err = _run(capsys, "sweep", path, "--param", "simulation.n_slots",
+                              "--from", "1", "--to", "2.5", "--steps", "2")
+        assert code == 2 and out == ""
+        assert err == ("error: simulation.n_slots: must be an integer >= 1, got 2.5"
+                       " (swept value 2.5)\n")
+
     def test_zero_steps_rejected(self, capsys, tmp_path):
         path = _scenario(tmp_path)
         code, _, err = _run(capsys, "sweep", path, "--param", "source.mu",

@@ -6,10 +6,12 @@ not from the realized counts.
 """
 
 import dataclasses
+import decimal
 import importlib.util
 import itertools
 import math
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,8 @@ from heraldsim.montecarlo import (NOISE_MODELS, QUANTITIES, Estimate, MetricsEst
                                   RunCounts, SimConfig, analytic_predictions,
                                   analytic_std_errs, compare, derive_seed,
                                   estimate_metrics, simulate)
-from heraldsim.paper import REFERENCE_DETECTOR as REF_DETECTOR, REFERENCE_SOURCE
+from heraldsim.paper import FIG7_CHANNELS, REFERENCE_SOURCE
+from heraldsim.paper import REFERENCE_DETECTOR as REF_DETECTOR
 
 NO_DEADTIME = dataclasses.replace(REF_DETECTOR, deadtime_s=0.0)
 DEAD_1US = dataclasses.replace(REF_DETECTOR, deadtime_s=1e-6)  # 49 slots
@@ -175,6 +178,47 @@ class TestAgainstClosedForms:
         est = estimate_metrics(counts, cfg)
         assert est.p_cond is None
         assert est.p_t.value == 0.0
+
+
+def _signal_click_prob(source, channel):
+    if source.kind == core.WCS:
+        return core.wcs_detection_prob(source, channel)
+    return core.hps_conditional_detection(source, channel)
+
+
+CHANNEL_11 = FIG7_CHANNELS[0].channel
+
+
+class TestQberPrediction:
+    @pytest.mark.parametrize("p_noise", [CHANNEL_11.p_noise, 1e-7])
+    @pytest.mark.parametrize("loss", [1.0, CHANNEL_11.loss])
+    @pytest.mark.parametrize("source", [REFERENCE_SOURCE, SourceSpec.wcs(0.11),
+                                        SourceSpec.wcs(2.0)], ids=["hps", "wcs-0.11", "wcs-2"])
+    def test_poisson_model_to_full_precision(self, source, loss, p_noise):
+        # with k ~ Poisson(-ln(1 - p_n)), a signal click errs with mean probability
+        # (1 - sqrt(1 - p_n))/2, which cancels in floats at small p_n; the
+        # signal term weighs most on a lossless channel
+        channel = _channel(loss, p_noise)
+        cfg = _config(source=source, channel=channel, noise_model="poisson-per-gate")
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            p, p_n = Decimal(_signal_click_prob(source, channel)), Decimal(p_noise)
+            errs = ((1 - p) * p_n + p * (1 - (1 - p_n).sqrt())) / 2
+            exact = errs / (p + (1 - p) * p_n)
+        got = analytic_predictions(cfg)["qber"]
+        assert got == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p_noise", [0.0, 3.19e-5, 1e-2])
+    @pytest.mark.parametrize("mu", [0.01, 0.11, 2.0])
+    @pytest.mark.parametrize("kind", ["hps", "wcs"])
+    def test_bernoulli_model_is_the_paper_form(self, kind, mu, p_noise):
+        # the simulator's error rule and core.qber_exact, which analyze reports,
+        # must not drift apart
+        source = _hps(mu=mu) if kind == "hps" else SourceSpec.wcs(mu)
+        channel = _channel(0.05, p_noise)
+        cfg = _config(source=source, channel=channel)
+        want = core.qber_exact(_signal_click_prob(source, channel), p_noise)
+        assert analytic_predictions(cfg)["qber"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestEstimates:
@@ -435,7 +479,7 @@ INDEPENDENCE_FLAGS = [
     for model, hbt, deadtime in itertools.product(NOISE_MODELS, ("off", "on", "coupled"), deadtimes)]
 PREDICTION_HELPERS = ("analytic_predictions", "analytic_std_errs", "_herald_fraction",
                       "_hbt_arm_probs", "_signal_click_probs", "_live_fraction",
-                      "_qber_poisson_noise", "_expected_counts")
+                      "_expected_counts", "_at_expected_counts")
 
 
 @pytest.mark.parametrize("kind,noise_model,hbt,deadtime", INDEPENDENCE_FLAGS)

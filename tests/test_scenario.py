@@ -205,9 +205,8 @@ class TestSweepPaths:
 
     def test_set_path_coerces_integer_leaves(self, tmp_path):
         merged = load_scenario_dict(_write(tmp_path, {"source": HPS_SOURCE}))
-        out = set_path(merged, "simulation.n_slots", 2e5)
-        assert out["simulation"]["n_slots"] == 200_000
-        assert isinstance(out["simulation"]["n_slots"], int)
+        n_slots = build_scenario(set_path(merged, "simulation.n_slots", 2e5)).config.n_slots
+        assert n_slots == 200_000 and isinstance(n_slots, int)
 
     def test_seed_is_not_sweepable(self, tmp_path):
         merged = load_scenario_dict(_write(tmp_path, {"source": HPS_SOURCE}))
