@@ -13,8 +13,8 @@ photon number shows which channels only work because of heralding.
 from dataclasses import replace
 from pathlib import Path
 
-from heraldsim import (ChannelPlan, ChannelSpec, SourceSpec, Transmittance, aggregate,
-                       link_metrics, load_noise_scan, p_noise_from_scan)
+from heraldsim import (ChannelPlan, ChannelSpec, Transmittance, aggregate, load_noise_scan,
+                       p_noise_from_scan)
 from heraldsim.paper import QBER_FAIL_PCT, REFERENCE_DETECTOR, REFERENCE_SOURCE
 
 DATA = Path(__file__).parent / "data"
@@ -40,13 +40,12 @@ def main() -> None:
     print(f"  {'ch':>3}  {'nm':>8}  {'p_noise':>9}  {'psnr':>6}  {'qber':>6}  "
           f"{'rate':>9}  {'wcs qber':>8}")
     for row in result.per_channel:
-        spec = row.channel_spec
-        wcs = link_metrics(SourceSpec.wcs(row.source.mu), spec)
-        usable = "" if 100 * wcs.qber < QBER_FAIL_PCT else "  <- heralding required"
+        lm = row.metrics
+        usable = "" if 100 * lm.qber_wcs < QBER_FAIL_PCT else "  <- heralding required"
         print(f"  {row.channel.index:3d}  {row.channel.center_wavelength_nm:8.2f}  "
-              f"{spec.p_noise:9.2e}  {row.metrics.psnr:6.2f}  "
-              f"{100 * row.metrics.qber:5.2f}%  {row.rate_hz:8.2f}/s  "
-              f"{100 * wcs.qber:7.2f}%{usable}")
+              f"{row.channel_spec.p_noise:9.2e}  {lm.psnr:6.2f}  "
+              f"{100 * lm.qber:5.2f}%  {row.rate_hz:8.2f}/s  "
+              f"{100 * lm.qber_wcs:7.2f}%{usable}")
     print(f"\n  total detected-pair rate: {result.total_rate_hz:.2f}/s")
     print(f"  rate-weighted mean QBER:  {100 * result.mean_qber:.2f}%")
 

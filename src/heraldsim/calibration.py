@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DetectorSpec, SourceSpec, Transmittance, _as_transmittance, _real
+from .core import (DetectorSpec, SourceSpec, Transmittance, _as_transmittance, _click_prob,
+                   _real, heralding_efficiency)
 
 __all__ = [
     "SaturationError",
@@ -79,17 +80,14 @@ def beta_mu_from_rate(measured: MeasuredCounts) -> float:
     fraction is ``1 - r * deadtime_s`` and the corrected mean is
     ``r / ((1 - r * deadtime_s) * pulse_rate_hz)``.
 
-    Raises :class:`SaturationError` when the live fraction is not positive
-    or when the corrected value reaches one herald per pulse, which a
-    threshold detector cannot produce.
+    The live fraction is positive, since :class:`MeasuredCounts` refuses
+    ``r * deadtime_s >= 1``.  Raises :class:`SaturationError` when the
+    corrected value reaches one herald per pulse, which a threshold
+    detector cannot produce.
     """
     r = measured.herald_rate_hz
     det = measured.detector
     live = 1.0 - r * det.deadtime_s
-    if live <= 0.0:
-        raise SaturationError(
-            f"observed rate {r:.6g} Hz reaches the deadtime limit "
-            f"{1.0 / det.deadtime_s:.6g} Hz")
     beta_mu = r / (live * det.pulse_rate_hz)
     if beta_mu >= 1.0:
         raise SaturationError(
@@ -167,23 +165,16 @@ def solve_channel_loss(measured_p_cond: float, source: SourceSpec) -> float:
     :class:`InfeasibleError` when the target exceeds the lossless-channel
     value (the heralding efficiency).
     """
-    from .core import _conditional_detection, heralding_efficiency
-
     measured_p_cond = _real("measured_p_cond", measured_p_cond, 0.0, 1.0, lo_open=True)
     ceiling = heralding_efficiency(source)
     if measured_p_cond > ceiling:
         raise InfeasibleError(
             f"measured_p_cond {measured_p_cond:.6g} exceeds the lossless-channel "
             f"value {ceiling:.6g}")
-    mu, beta, a_s = source.mu, source.beta.value, source.alpha_s.value
-
-    def shortfall(x: float) -> float:
-        return _conditional_detection(mu, beta, a_s * x) - measured_p_cond
-
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if shortfall(mid) < 0.0:
+        if _click_prob(source, mid) < measured_p_cond:
             lo = mid
         else:
             hi = mid

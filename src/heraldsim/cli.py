@@ -32,9 +32,8 @@ from pathlib import Path
 
 from . import paper
 from .calibration import MeasuredCounts, beta_mu_from_rate, calibrate_source, mu_from_g2
-from .core import (DetectorSpec, SourceSpec, Transmittance, _integer, _tagged, g2_predicted,
-                   linear_to_db, link_metrics, psnr_gain, psnr_gain_approx, qber_from_psnr,
-                   rate_penalty)
+from .core import (DetectorSpec, Transmittance, _integer, _tagged, g2_predicted, linear_to_db,
+                   link_metrics, psnr_gain, psnr_gain_approx, qber_from_psnr, rate_penalty)
 from .montecarlo import (_MASK64, QUANTITIES, RunCounts, compare, derive_seed,
                          estimate_metrics, simulate)
 from .scenario import (Scenario, ScenarioError, build_scenario, load_scenario,
@@ -203,17 +202,16 @@ def _analyze_rows(scenario: Scenario) -> tuple[tuple, list]:
             ("qber_from_psnr", qber_from_psnr(metrics.psnr)),
         ]
         return header, rows
-    baseline = link_metrics(SourceSpec.wcs(source.mu), channel)
     header = ("metric", "hps", "wcs_baseline")
     rows = [
-        ("p_s", None, baseline.p_s),
+        ("p_s", None, metrics.p_s),
         ("p_t", metrics.p_t, None),
         ("p_cond", metrics.p_cond, None),
         ("heralding_efficiency", metrics.heralding_efficiency, None),
-        ("psnr", metrics.psnr, baseline.psnr),
-        ("qber", metrics.qber, baseline.qber),
-        ("qber_from_psnr", qber_from_psnr(metrics.psnr), qber_from_psnr(baseline.psnr)),
-        ("qber_delta", metrics.qber - baseline.qber, None),
+        ("psnr", metrics.psnr, metrics.psnr_wcs),
+        ("qber", metrics.qber, metrics.qber_wcs),
+        ("qber_from_psnr", qber_from_psnr(metrics.psnr), qber_from_psnr(metrics.psnr_wcs)),
+        ("qber_delta", metrics.qber - metrics.qber_wcs, None),
         ("psnr_gain", metrics.psnr_gain, None),
         ("psnr_gain_approx", psnr_gain_approx(source), None),
         ("rate_penalty", metrics.rate_penalty, None),
@@ -301,11 +299,10 @@ def _cmd_sweep(args) -> int:
     for v, cfg, cells in zip(values, grid, sim_cells):
         metrics = link_metrics(cfg.source, cfg.channel)
         if is_hps:
-            baseline = link_metrics(SourceSpec.wcs(cfg.source.mu), cfg.channel)
             row = (v, metrics.p_s, metrics.p_t, metrics.p_cond,
                    metrics.heralding_efficiency, metrics.psnr, metrics.qber,
                    metrics.psnr_gain, psnr_gain_approx(cfg.source),
-                   metrics.rate_penalty, baseline.psnr, baseline.qber)
+                   metrics.rate_penalty, metrics.psnr_wcs, metrics.qber_wcs)
         else:
             row = (v, metrics.p_s, metrics.psnr, metrics.qber)
         rows.append(row + cells)

@@ -9,6 +9,13 @@ PSNR improvement obtained by switching from WCS to HPS at equal mean
 photon number, the photon-rate cost of that switch, and the second-order
 correlation g2(0) of the heralded output.
 
+One source model serves every closed form here and every expected tally
+in :mod:`heraldsim.montecarlo`: a source gates a slot with probability
+``_gate_prob`` (1 for a WCS, the herald probability for an HPS), and a
+gated slot registers a signal click with probability ``_click_prob``
+behind a given receiver-path transmittance.  :func:`link_metrics`
+evaluates a source and the same-mu WCS on one channel with these two.
+
 Conventions
 -----------
 * Transmittances are linear power ratios in (0, 1].  dB values follow the
@@ -302,6 +309,28 @@ def _require_kind(source: SourceSpec, kind: str, op: str) -> None:
         raise ValueError(f"{op} is defined for {kind.upper()} sources, got {source.kind!r}")
 
 
+def _gate_prob(source: SourceSpec) -> float:
+    """Probability that a pulse opens the receiver gate.
+
+    A WCS gates every slot; an HPS gates the slots whose herald fires,
+    ``1 - exp(-beta * mu)`` for Poisson pairs thinned by the herald arm.
+    """
+    if source.kind == WCS:
+        return 1.0
+    return -math.expm1(-source.beta.value * source.mu)
+
+
+def _click_prob(source: SourceSpec, loss: float) -> float:
+    """P(signal click | gated slot) behind receiver-path transmittance ``loss``.
+
+    A WCS's Poisson photons are thinned by ``loss``; an HPS's signal
+    photons by ``alpha_s * loss``, conditioned on the herald click.
+    """
+    if source.kind == WCS:
+        return -math.expm1(-loss * source.mu)
+    return _conditional_detection(source.mu, source.beta.value, source.alpha_s.value * loss)
+
+
 def wcs_detection_prob(source: SourceSpec, channel: ChannelSpec) -> float:
     """Probability that a WCS pulse produces a signal click at the receiver.
 
@@ -309,7 +338,7 @@ def wcs_detection_prob(source: SourceSpec, channel: ChannelSpec) -> float:
     ``1 - exp(-alpha_r * alpha_d * mu)``.
     """
     _require_kind(source, WCS, "wcs_detection_prob")
-    return -math.expm1(-channel.loss * source.mu)
+    return _click_prob(source, channel.loss)
 
 
 def hps_herald_prob(source: SourceSpec) -> float:
@@ -319,7 +348,7 @@ def hps_herald_prob(source: SourceSpec) -> float:
     ``1 - exp(-beta * mu)``.
     """
     _require_kind(source, HPS, "hps_herald_prob")
-    return -math.expm1(-source.beta.value * source.mu)
+    return _gate_prob(source)
 
 
 def _conditional_detection(mu: float, beta: float, arm: float) -> float:
@@ -346,8 +375,7 @@ def hps_conditional_detection(source: SourceSpec, channel: ChannelSpec) -> float
     multi-pair pulses raise this probability above the single-pair value.
     """
     _require_kind(source, HPS, "hps_conditional_detection")
-    arm = source.alpha_s.value * channel.loss
-    return _conditional_detection(source.mu, source.beta.value, arm)
+    return _click_prob(source, channel.loss)
 
 
 def heralding_efficiency(source: SourceSpec) -> float:
@@ -357,7 +385,7 @@ def heralding_efficiency(source: SourceSpec) -> float:
     and ideal receiver.  Approaches ``alpha_s`` as mu -> 0.
     """
     _require_kind(source, HPS, "heralding_efficiency")
-    return _conditional_detection(source.mu, source.beta.value, source.alpha_s.value)
+    return _click_prob(source, 1.0)
 
 
 def psnr(source: SourceSpec, channel: ChannelSpec) -> float:
@@ -367,10 +395,7 @@ def psnr(source: SourceSpec, channel: ChannelSpec) -> float:
     unconditional, HPS: herald-conditioned) to the per-slot noise
     detection probability.  Returns ``math.inf`` when ``p_noise == 0``.
     """
-    if source.kind == WCS:
-        p_qkd = wcs_detection_prob(source, channel)
-    else:
-        p_qkd = hps_conditional_detection(source, channel)
+    p_qkd = _click_prob(source, channel.loss)
     if channel.p_noise == 0.0:
         return math.inf
     return p_qkd / channel.p_noise
@@ -387,12 +412,7 @@ def psnr_gain(source: SourceSpec, channel: ChannelSpec | None = None) -> float:
     """
     _require_kind(source, HPS, "psnr_gain")
     loss = DEFAULT_REPORTING_LOSS if channel is None else channel.loss
-    if source.mu <= 0.0:
-        raise UndefinedConditionalError("psnr_gain is undefined at mu = 0")
-    p_cond = _conditional_detection(source.mu, source.beta.value,
-                                    source.alpha_s.value * loss)
-    p_s = -math.expm1(-loss * source.mu)
-    return p_cond / p_s
+    return _click_prob(source, loss) / _click_prob(SourceSpec.wcs(source.mu), loss)
 
 
 def psnr_gain_approx(source: SourceSpec) -> float:
@@ -408,24 +428,15 @@ def psnr_gain_approx(source: SourceSpec) -> float:
     return (source.alpha_s.value / source.mu) * (1.0 + source.mu)
 
 
-def rate_penalty(source: SourceSpec, exact: bool = False) -> float:
+def rate_penalty(source: SourceSpec) -> float:
     """Photon-rate cost of heralding: herald-gated rate over the WCS rate.
 
-    The default first-order form is ``alpha_s * beta``: the transmitter
-    only opens a fraction ``~beta*mu`` of slots and delivers a photon in a
-    fraction ``~alpha_s`` of those.  With ``exact=True`` the full
-    threshold-detector ratio ``(P_t * P(click|herald)) / P_s`` is
-    evaluated with a lossless channel and ideal receiver.
+    First order, ``alpha_s * beta``: the transmitter only opens a
+    fraction ``~beta*mu`` of slots and delivers a photon in a fraction
+    ``~alpha_s`` of those.
     """
     _require_kind(source, HPS, "rate_penalty")
-    if not exact:
-        return source.alpha_s.value * source.beta.value
-    if source.mu <= 0.0:
-        raise UndefinedConditionalError("exact rate_penalty is undefined at mu = 0")
-    p_t = hps_herald_prob(source)
-    joint = p_t * _conditional_detection(source.mu, source.beta.value,
-                                         source.alpha_s.value)
-    return joint / (-math.expm1(-source.mu))
+    return source.alpha_s.value * source.beta.value
 
 
 def qber_exact(p_qkd: float, p_noise: float) -> float:
@@ -472,14 +483,17 @@ def g2_predicted(source: SourceSpec) -> float:
 class LinkMetrics:
     """Closed-form link summary for one source on one channel.
 
-    ``p_s`` is always the WCS detection probability at the same mu, so an
-    HPS row carries its own conditional metrics plus the WCS baseline it
-    is compared against.  WCS rows leave the HPS-only fields as None.
+    ``p_s``, ``psnr_wcs`` and ``qber_wcs`` are always those of a WCS at the
+    same mu, so an HPS row carries its own conditional metrics plus the
+    WCS baseline it is compared against; for a WCS they are its own
+    values.  WCS rows leave the HPS-only fields as None.
     """
 
     p_s: float
     psnr: float
     qber: float
+    psnr_wcs: float
+    qber_wcs: float
     p_t: float | None = None
     p_cond: float | None = None
     heralding_efficiency: float | None = None
@@ -490,26 +504,27 @@ class LinkMetrics:
 def link_metrics(source: SourceSpec, channel: ChannelSpec) -> LinkMetrics:
     """Evaluate every closed-form metric for one source/channel pairing.
 
-    ``qber`` uses the exact error model, not the PSNR approximation.
-    For an HPS, ``psnr_gain`` is evaluated on the given channel and
-    ``rate_penalty`` in its first-order form.
+    The same-mu WCS baseline is evaluated once.  ``qber`` uses the exact
+    error model, not the PSNR approximation.  For an HPS, ``psnr_gain``
+    is evaluated on the given channel and ``rate_penalty`` in its
+    first-order form.
     """
-    baseline = source if source.kind == WCS else SourceSpec.wcs(source.mu)
-    p_s = wcs_detection_prob(baseline, channel)
+    baseline = SourceSpec.wcs(source.mu)
+    p_s = _click_prob(baseline, channel.loss)
+    psnr_wcs = psnr(baseline, channel)
+    qber_wcs = qber_exact(p_s, channel.p_noise)
     if source.kind == WCS:
-        return LinkMetrics(
-            p_s=p_s,
-            psnr=psnr(source, channel),
-            qber=qber_exact(p_s, channel.p_noise),
-        )
-    p_cond = hps_conditional_detection(source, channel)
+        return LinkMetrics(p_s, psnr_wcs, qber_wcs, psnr_wcs, qber_wcs)
+    p_cond = _click_prob(source, channel.loss)
     return LinkMetrics(
         p_s=p_s,
         psnr=psnr(source, channel),
         qber=qber_exact(p_cond, channel.p_noise),
-        p_t=hps_herald_prob(source),
+        psnr_wcs=psnr_wcs,
+        qber_wcs=qber_wcs,
+        p_t=_gate_prob(source),
         p_cond=p_cond,
         heralding_efficiency=heralding_efficiency(source),
-        psnr_gain=psnr_gain(source, channel),
+        psnr_gain=p_cond / p_s,
         rate_penalty=rate_penalty(source),
     )

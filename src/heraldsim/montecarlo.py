@@ -410,58 +410,6 @@ def estimate_metrics(counts: RunCounts, config: SimConfig) -> MetricsEstimate:
                            g2=g2, car=car, herald_rate_hz=rate)
 
 
-def _herald_fraction(config: SimConfig) -> float:
-    """Expected heralds per slot, including herald-deadtime thinning.
-
-    An accepted herald locks the next ``L`` slots, so acceptances renew
-    every ``L + 1/p`` slots on average and the rate is ``p / (1 + L*p)``.
-    """
-    if config.source.kind == core.WCS:
-        return 1.0
-    p = core.hps_herald_prob(config.source)
-    if not config.apply_herald_deadtime:
-        return p
-    lock = config.deadtime_slots
-    return p / (1.0 + lock * p)
-
-
-def _hbt_arm_probs(config: SimConfig) -> tuple[float, float] | None:
-    """Per-gated-slot click probabilities (one arm, both arms) for HBT.
-
-    Derived from the same joint threshold-detection formula as the
-    conditional detection probability, with the 50/50 splitter halving
-    the arm transmittance.  None when noise is coupled into the arms
-    (no closed form is provided for that extension) or when an HPS with
-    mu = 0 never heralds.
-    """
-    if config.hbt_noise_coupling and config.channel.p_noise > 0.0:
-        return None
-    src, ch = config.source, config.channel
-    if src.kind == core.WCS:
-        half = -math.expm1(-ch.loss * src.mu / 2.0)
-        return half, half * half
-    if src.mu == 0.0:
-        return None
-    arm = src.alpha_s.value * ch.loss
-    mu, beta = src.mu, src.beta.value
-    p2 = core._conditional_detection(mu, beta, arm / 2.0)
-    p23 = 2.0 * p2 - core._conditional_detection(mu, beta, arm)
-    return p2, p23
-
-
-def _signal_click_probs(config: SimConfig) -> tuple[float, float]:
-    """Signal-click probability per gated slot and per slot.
-
-    The first is 0 for an HPS with mu = 0, which never heralds.
-    """
-    src, ch = config.source, config.channel
-    if src.kind == core.WCS:
-        p = core.wcs_detection_prob(src, ch)
-        return p, p
-    p_qkd = core.hps_conditional_detection(src, ch) if src.mu > 0.0 else 0.0
-    return p_qkd, -math.expm1(-src.alpha_s.value * ch.loss * src.mu)
-
-
 def _live_fraction(config: SimConfig, q: float) -> float:
     """Share of receiver clicks that survive the receiver lockout.
 
@@ -484,14 +432,26 @@ def _expected_counts(config: SimConfig) -> _ExpectedCounts:
     """Expected value of every :class:`RunCounts` tally, from per-slot probabilities.
 
     Each tally is its slot count times the probability :func:`simulate`
-    adds to it per slot.  Errors follow simulate's one rule: a click with
-    ``k`` noise photons errs with probability 1/2 without signal and
-    ``(1 - 0.5^k)/2`` with it, so a gated slot errs with probability
-    ``((1 - p_c)*p_n + p_c*E[1 - 0.5^k]) / 2``.
+    adds to it per slot.  A slot is gated with core's gate probability,
+    thinned under herald deadtime: an accepted herald locks the next
+    ``L`` slots, so acceptances renew every ``L + 1/p`` slots and the
+    rate is ``p / (1 + L*p)``.  A gated slot clicks with core's click
+    probability (0 for an HPS that never heralds).  Errors follow
+    simulate's one rule: a click with ``k`` noise photons errs with
+    probability 1/2 without signal and ``(1 - 0.5^k)/2`` with it, so a
+    gated slot errs with probability ``((1 - p_c)*p_n + p_c*E[1 - 0.5^k]) / 2``.
+    The HBT arms see the click probability at half the loss; they get no
+    closed form when noise is coupled into them.
     """
-    n, h = config.n_slots, _herald_fraction(config)
-    p_c, p_marg = _signal_click_probs(config)
-    p_n = config.channel.p_noise
+    src, ch = config.source, config.channel
+    n, p_n = config.n_slots, ch.p_noise
+    h = p_gate = core._gate_prob(src)
+    if config.apply_herald_deadtime:
+        h = p_gate / (1.0 + config.deadtime_slots * p_gate)
+    p_c = core._click_prob(src, ch.loss) if p_gate > 0.0 else 0.0
+    # the CAR accidental window sees a slot's signal click whether or not it is gated
+    arm = ch.loss if src.alpha_s is None else src.alpha_s.value * ch.loss
+    p_marg = -math.expm1(-arm * src.mu)
     # mixed = E[1 - 0.5^k]; under the Poisson model k ~ Poisson(-ln(1 - p_n)),
     # so E[0.5^k] = sqrt(1 - p_n)
     if config.noise_model == "poisson-per-gate":
@@ -504,8 +464,11 @@ def _expected_counts(config: SimConfig) -> _ExpectedCounts:
     # the receiver lockout thins every click tally but the CAR windows
     live_gated = gated * live
     # H*nc/(n2*n3) grows as 1/live once the lockout drops clicks, so g2 then gets no arms
-    arms = _hbt_arm_probs(config) if config.hbt_enabled and live == 1.0 else None
-    p2, p23 = arms or (0.0, 0.0)
+    p2 = p23 = 0.0
+    if (config.hbt_enabled and live == 1.0 and p_gate > 0.0
+            and not (config.hbt_noise_coupling and p_n > 0.0)):
+        p2 = core._click_prob(src, ch.loss / 2.0)
+        p23 = p2 * p2 if src.kind == core.WCS else 2.0 * p2 - p_c
     return _ExpectedCounts(
         slots=n, heralds=gated, gated_slots=gated,
         signal_detections=live_gated * p_c, noise_detections=live_gated * p_n,

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import (ChannelSpec, DetectorSpec, LinkMetrics, ScenarioError, SourceSpec,
-                   Transmittance, _as_transmittance, _check_keys, _integer, _real,
-                   _require_object, _tagged, _transmittance_field, frequency_to_wavelength,
-                   link_metrics, wavelength_to_frequency)
+                   Transmittance, _as_transmittance, _check_keys, _click_prob, _gate_prob,
+                   _integer, _real, _require_object, _tagged, _transmittance_field,
+                   frequency_to_wavelength, link_metrics, wavelength_to_frequency)
 
 __all__ = [
     "CHANNEL_COUNT",
@@ -112,14 +112,14 @@ class ChannelPlan:
         indices = [c.index for c in chans]
         if len(set(indices)) != len(indices):
             raise ValueError(f"duplicate channel indices in plan: {sorted(indices)}")
-        ordered = sorted(chans, key=lambda c: c.index)
+        ordered = tuple(sorted(chans, key=lambda c: c.index))
         # frequency grid: wavelength must fall as index rises
         for lo, hi in zip(ordered, ordered[1:]):
             if hi.center_wavelength_nm >= lo.center_wavelength_nm:
                 raise ValueError(
                     f"channel {hi.index} wavelength {hi.center_wavelength_nm} nm does not "
                     f"decrease from channel {lo.index} ({lo.center_wavelength_nm} nm)")
-        object.__setattr__(self, "channels", ordered if chans != ordered else chans)
+        object.__setattr__(self, "channels", ordered)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChannelPlan":
@@ -221,12 +221,6 @@ class WdmAggregate:
     mean_qber: float | None
 
 
-def _channel_rate_per_slot(source: SourceSpec, metrics: LinkMetrics) -> float:
-    if source.kind == "wcs":
-        return metrics.p_s
-    return metrics.p_t * metrics.p_cond
-
-
 def aggregate(plan: ChannelPlan, source: SourceSpec, channel: ChannelSpec,
               detector: DetectorSpec) -> WdmAggregate:
     """Closed-form metrics of every plan channel, rolled up into plan totals.
@@ -243,7 +237,7 @@ def aggregate(plan: ChannelPlan, source: SourceSpec, channel: ChannelSpec,
         src = replace(source, mu=source.mu * chan.sfwm_weight)
         ch_spec = chan.resolve(channel)
         lm = link_metrics(src, ch_spec)
-        rate = _channel_rate_per_slot(src, lm) * detector.pulse_rate_hz
+        rate = _gate_prob(src) * _click_prob(src, ch_spec.loss) * detector.pulse_rate_hz
         rows.append(ChannelMetrics(chan, src, ch_spec, lm, rate))
         total_rate += rate
         qber_weight += rate * lm.qber

@@ -477,8 +477,7 @@ INDEPENDENCE_FLAGS = [
     for kind, deadtimes in (("hps", ("none", "herald", "receiver", "both")),
                             ("wcs", ("none", "receiver")))
     for model, hbt, deadtime in itertools.product(NOISE_MODELS, ("off", "on", "coupled"), deadtimes)]
-PREDICTION_HELPERS = ("analytic_predictions", "analytic_std_errs", "_herald_fraction",
-                      "_hbt_arm_probs", "_signal_click_probs", "_live_fraction",
+PREDICTION_HELPERS = ("analytic_predictions", "analytic_std_errs", "_live_fraction",
                       "_expected_counts", "_at_expected_counts")
 
 
@@ -492,7 +491,7 @@ def test_simulate_takes_nothing_from_closed_forms(monkeypatch, kind, noise_model
                   apply_herald_deadtime=deadtime in ("herald", "both"),
                   apply_receiver_deadtime=deadtime in ("receiver", "both"))
     reference = simulate(cfg)
-    for name in (*core.__all__, "_conditional_detection"):
+    for name in (*core.__all__, "_conditional_detection", "_gate_prob", "_click_prob"):
         if callable(getattr(core, name)):
             for module in (core, montecarlo):
                 if hasattr(module, name):
