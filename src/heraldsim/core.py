@@ -9,12 +9,10 @@ PSNR improvement obtained by switching from WCS to HPS at equal mean
 photon number, the photon-rate cost of that switch, and the second-order
 correlation g2(0) of the heralded output.
 
-One source model serves every closed form here and every expected tally
-in :mod:`heraldsim.montecarlo`: a source gates a slot with probability
-``_gate_prob`` (1 for a WCS, the herald probability for an HPS), and a
-gated slot registers a signal click with probability ``_click_prob``
-behind a given receiver-path transmittance.  :func:`link_metrics`
-evaluates a source and the same-mu WCS on one channel with these two.
+Every closed form here and every expected tally in the simulator reads
+one source model: ``_gate_prob`` (1 for a WCS, the herald probability
+for an HPS) and ``_click_prob``, P(signal click | gated slot) behind a
+receiver-path transmittance.
 
 Conventions
 -----------
@@ -323,12 +321,21 @@ def _gate_prob(source: SourceSpec) -> float:
 def _click_prob(source: SourceSpec, loss: float) -> float:
     """P(signal click | gated slot) behind receiver-path transmittance ``loss``.
 
-    A WCS's Poisson photons are thinned by ``loss``; an HPS's signal
-    photons by ``alpha_s * loss``, conditioned on the herald click.
+    A WCS's Poisson photons are thinned by ``loss``.  An HPS's pairs reach
+    the herald with ``beta`` and the receiver with ``arm = alpha_s * loss``;
+    their joint click probability ``1 - e^(-beta*mu) - e^(-arm*mu) +
+    e^((arm*beta-arm-beta)*mu)`` is evaluated in an expm1 regrouping and
+    divided by the herald probability.  Its relative rounding error grows
+    as ~1e-16/arm.
     """
     if source.kind == WCS:
         return -math.expm1(-loss * source.mu)
-    return _conditional_detection(source.mu, source.beta.value, source.alpha_s.value * loss)
+    p_t, mu, beta = _gate_prob(source), source.mu, source.beta.value
+    if p_t <= 0.0:
+        raise UndefinedConditionalError(
+            "herald probability is zero (mu = 0); conditional detection is undefined")
+    arm = source.alpha_s.value * loss
+    return (p_t + math.exp(-arm * mu) * math.expm1(-beta * mu * (1.0 - arm))) / p_t
 
 
 def wcs_detection_prob(source: SourceSpec, channel: ChannelSpec) -> float:
@@ -349,22 +356,6 @@ def hps_herald_prob(source: SourceSpec) -> float:
     """
     _require_kind(source, HPS, "hps_herald_prob")
     return _gate_prob(source)
-
-
-def _conditional_detection(mu: float, beta: float, arm: float) -> float:
-    """P(signal click | herald click) for thinned Poisson pairs.
-
-    ``arm`` is the total signal-path transmittance.  The joint click
-    probability is ``1 - e^(-beta*mu) - e^(-arm*mu) + e^((arm*beta-arm-beta)*mu)``;
-    it is evaluated here in an expm1 regrouping that stays accurate when
-    ``arm*mu`` and ``beta*mu`` are both small.
-    """
-    p_t = -math.expm1(-beta * mu)
-    if p_t <= 0.0:
-        raise UndefinedConditionalError(
-            "herald probability is zero (mu = 0); conditional detection is undefined")
-    joint = p_t + math.exp(-arm * mu) * math.expm1(-beta * mu * (1.0 - arm))
-    return joint / p_t
 
 
 def hps_conditional_detection(source: SourceSpec, channel: ChannelSpec) -> float:

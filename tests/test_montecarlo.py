@@ -274,7 +274,7 @@ NULL_SE_PINS = {
         _config(channel=_channel(0.05, 1e-3), detector=REF_DETECTOR,
                 apply_herald_deadtime=True, hbt_enabled=True),
         (2.0277250948405626e-05, 0.00545799434821414, 20.091680234349486,
-         0.08051564819963897, 3.448525197413297, 14.858582103912108, 987.502121187354)),
+         0.08051564819963897, 3.448525197399048, 14.858582103912108, 987.502121187354)),
     "both-deadtimes": (
         _config(source=_hps(beta=BETA_3DB), channel=_channel(0.05, 1e-2), detector=REF_DETECTOR,
                 apply_herald_deadtime=True, apply_receiver_deadtime=True),
@@ -420,6 +420,33 @@ class TestHbt:
                       apply_herald_deadtime=source.kind == "hps")
         assert analytic_predictions(cfg)["g2"] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("loss", [1.0, 0.05, CHANNEL_11.loss, 1e-8])
+    @pytest.mark.parametrize("mu,alpha_s,beta", [
+        (0.01, REFERENCE_SOURCE.alpha_s, REFERENCE_SOURCE.beta),
+        (0.11, REFERENCE_SOURCE.alpha_s, REFERENCE_SOURCE.beta),
+        (2.0, 1.0, 0.5)], ids=["ref-mu0.01", "ref-mu0.11", "mu2-beta0.5"])
+    def test_both_arm_probability_to_full_precision(self, mu, alpha_s, beta, loss):
+        # by inclusion-exclusion over the herald H and the arms A2, A3, each
+        # "none of" term being a Poisson zero: a pair reaches H with probability
+        # beta and each arm with probability a/2, so P(H, A2, A3) sums eight
+        # exponentials that cancel to ~(mu*a)^2 at high loss
+        cfg = _config(source=_hps(mu=mu, alpha_s=alpha_s, beta=beta), channel=_channel(loss),
+                      hbt_enabled=True)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            m, b = Decimal(mu), Decimal(cfg.source.beta.value)
+            a = Decimal(cfg.source.alpha_s.value) * Decimal(loss)
+
+            def none_of(p):
+                return (-m * p).exp()
+
+            joint = (1 - none_of(b) - 2 * none_of(a / 2) + none_of(a)
+                     + 2 * none_of(b + a / 2 - b * a / 2) - none_of(b + a - b * a))
+            exact = joint / (1 - none_of(b))
+        expected = montecarlo._expected_counts(cfg)
+        got = expected.hbt_nc / expected.gated_slots
+        assert got == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
     def test_wcs_g2_is_one(self):
         cfg = _config(source=SourceSpec.wcs(0.2), channel=_channel(0.5),
                       n_slots=2_000_000, seed=37, hbt_enabled=True)
@@ -491,7 +518,7 @@ def test_simulate_takes_nothing_from_closed_forms(monkeypatch, kind, noise_model
                   apply_herald_deadtime=deadtime in ("herald", "both"),
                   apply_receiver_deadtime=deadtime in ("receiver", "both"))
     reference = simulate(cfg)
-    for name in (*core.__all__, "_conditional_detection", "_gate_prob", "_click_prob"):
+    for name in (*core.__all__, "_gate_prob", "_click_prob"):
         if callable(getattr(core, name)):
             for module in (core, montecarlo):
                 if hasattr(module, name):

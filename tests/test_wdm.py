@@ -72,6 +72,12 @@ class TestChannelPlan:
         plan = ChannelPlan((WdmChannel(21), WdmChannel(11)))
         assert [c.index for c in plan.channels] == [11, 21]
 
+    @pytest.mark.parametrize("given", [(21, 11), (11, 21)], ids=["unsorted", "sorted"])
+    def test_channels_are_a_hashable_tuple(self, given):
+        plan = ChannelPlan([WdmChannel(i) for i in given])
+        assert type(plan.channels) is tuple
+        assert hash(plan) == hash(ChannelPlan((WdmChannel(11), WdmChannel(21))))
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             ChannelPlan((WdmChannel(1), WdmChannel(1)))
