@@ -474,7 +474,7 @@ def _expected_counts(config: SimConfig) -> _ExpectedCounts:
             p23 = p2 * p2
         else:
             # P(herald, both arms) = P(both arms) - P(no herald, both arms), with
-            # x = mu*a/2 per arm; the equal 2*p2 - p_c cancels at high loss
+            # x = mu*a/2 per arm; the equal 2*p2 - p_c would cancel at high loss
             x, beta = src.mu * src.alpha_s.value * ch.loss / 2.0, src.beta.value
             p23 = (math.expm1(-x) ** 2
                    - math.exp(-beta * src.mu) * math.expm1(-x * (1.0 - beta)) ** 2) / p_gate
