@@ -6,8 +6,11 @@ through the relevant transmittances with threshold detection at both
 ends, adds channel noise on gated slots, applies the basis-error
 bookkeeping, and optionally splits the receiver photons 50/50 for an
 HBT g2(0) measurement.  Tallies accumulate into :class:`RunCounts`;
-:func:`estimate_metrics` turns them into estimates with binomial
-standard errors.  One rule gives every prediction: it is the estimator
+:func:`estimate_metrics` turns them into estimates.  Each is a ratio of
+counts, and one rule gives its first-order standard error: a count
+``c`` binomial over ``t`` trials adds ``(1 - c/t)/c`` to the squared
+relative error, so ``rel**2 = sum((1 - c/t)/c)`` over the ratio's
+counts.  One rule gives every prediction: it is the estimator
 at the expected tallies (slot counts times per-slot probabilities), and
 its null SE (:func:`analytic_std_errs`) is the estimator's SE there;
 :func:`compare` lines both up with a run's estimates as z-scores.  So
@@ -346,60 +349,62 @@ def simulate(config: SimConfig) -> RunCounts:
     )
 
 
-def _binom_estimate(successes: int, trials: int) -> Estimate | None:
-    if trials <= 0:
-        return None
-    p = successes / trials
-    return Estimate(p, math.sqrt(p * (1.0 - p) / trials))
+def _count_ratio(num: tuple, den: tuple) -> Estimate | None:
+    """Ratio of count products, with its first-order standard error.
 
-
-def _ratio_estimate(num: int, den: int, num_trials: int, den_trials: int) -> Estimate | None:
-    """First-order SE of a count ratio with binomial numerator/denominator."""
-    if den <= 0:
-        return None
-    value = num / den
-    if num <= 0:
-        return Estimate(0.0, 0.0)
-    rel = math.sqrt((1.0 - num / num_trials) / num + (1.0 - den / den_trials) / den)
-    return Estimate(value, value * rel)
+    ``num`` and ``den`` hold ``(count, trials)`` pairs, each count
+    binomial over its trials.  The value is the product of the numerator
+    counts over that of the denominator counts; its relative variance is
+    the sum of ``(1 - count/trials) / count`` over every pair.  A count
+    fraction ``c / n`` is ``(c, n)`` over ``(n, n)``: a fixed denominator
+    adds no variance.  None when a denominator count is 0; ``(0, 0)``
+    when a numerator count is.
+    """
+    top = bottom = 1
+    rel2 = 0.0
+    for c, t in den:
+        if c == 0:
+            return None
+        bottom *= c
+        rel2 += (1.0 - c / t) / c
+    for c, t in num:
+        if c == 0:
+            return Estimate(0.0, 0.0)
+        top *= c
+        rel2 += (1.0 - c / t) / c
+    value = top / bottom
+    return Estimate(value, math.sqrt(value * rel2 * top / bottom))
 
 
 def estimate_metrics(counts: RunCounts, config: SimConfig) -> MetricsEstimate:
     """Point estimates and standard errors from raw tallies.
 
-    Ratios use first-order error propagation of binomial counting
-    errors.  ``psnr`` is ``Estimate(inf, inf)`` when signal clicks were
-    seen but no noise clicks; quantities whose denominators are zero (or
-    that the config did not measure, like g2 without ``hbt_enabled``)
-    come back as None.  ``herald_rate_hz`` is the raw observed rate with
-    no deadtime back-correction.
+    Every quantity is a ratio of counts, estimated by one rule
+    (:func:`_count_ratio`).  ``psnr`` is ``Estimate(inf, inf)`` when
+    signal clicks were seen but no noise clicks; quantities whose
+    denominators are zero (or that the config did not measure, like g2
+    without ``hbt_enabled``) come back as None.  ``herald_rate_hz`` is
+    the raw observed rate with no deadtime back-correction.
     """
-    p_t = _binom_estimate(counts.heralds, counts.slots)
-    p_cond = _binom_estimate(counts.signal_detections, counts.gated_slots)
+    c = counts
+    n, gated = c.slots, c.gated_slots
+    p_t = _count_ratio(((c.heralds, n),), ((n, n),))
+    p_cond = _count_ratio(((c.signal_detections, gated),), ((gated, gated),))
 
-    if counts.noise_detections == 0:
-        psnr = Estimate(math.inf, math.inf) if counts.signal_detections > 0 else None
+    if c.noise_detections == 0:
+        psnr = Estimate(math.inf, math.inf) if c.signal_detections > 0 else None
     else:
-        psnr = _ratio_estimate(counts.signal_detections, counts.noise_detections,
-                               counts.gated_slots, counts.gated_slots)
+        psnr = _count_ratio(((c.signal_detections, gated),), ((c.noise_detections, gated),))
 
-    qber = _binom_estimate(counts.errors, counts.registered_detections)
+    reg = c.registered_detections
+    qber = _count_ratio(((c.errors, reg),), ((reg, reg),))
 
     g2 = None
-    if config.hbt_enabled and counts.hbt_n2 > 0 and counts.hbt_n3 > 0:
-        value = counts.heralds * counts.hbt_nc / (counts.hbt_n2 * counts.hbt_n3)
-        if counts.hbt_nc == 0 or counts.heralds == 0:
-            g2 = Estimate(value, 0.0)
-        else:
-            rel = math.sqrt(
-                (1.0 - counts.heralds / counts.slots) / counts.heralds
-                + (1.0 - counts.hbt_nc / counts.gated_slots) / counts.hbt_nc
-                + (1.0 - counts.hbt_n2 / counts.gated_slots) / counts.hbt_n2
-                + (1.0 - counts.hbt_n3 / counts.gated_slots) / counts.hbt_n3)
-            g2 = Estimate(value, value * rel)
+    if config.hbt_enabled:
+        g2 = _count_ratio(((c.heralds, n), (c.hbt_nc, gated)),
+                          ((c.hbt_n2, gated), (c.hbt_n3, gated)))
 
-    car = _ratio_estimate(counts.car_coincidences, counts.car_accidentals,
-                          counts.slots, counts.slots)
+    car = _count_ratio(((c.car_coincidences, n),), ((c.car_accidentals, n),))
 
     rate = None
     if p_t is not None:

@@ -248,6 +248,89 @@ class TestEstimates:
             assert errs[q] > 0.0 and math.isfinite(errs[q])
 
 
+def _tallies(**fields):
+    """Literal tallies of an HBT run, with ``fields`` replaced."""
+    tallies = dict(slots=1_000_000, heralds=5_000, gated_slots=5_000, signal_detections=400,
+                   noise_detections=30, registered_detections=428, errors=20, hbt_n2=150,
+                   hbt_n3=160, hbt_nc=3, car_coincidences=400, car_accidentals=7)
+    return RunCounts(**{**tallies, **fields})
+
+
+def _binomial_form(c, n):
+    p = c / n
+    return p, math.sqrt(p * (1.0 - p) / n)
+
+
+def _ratio_form(a, a_trials, b, b_trials):
+    value = a / b
+    return value, value * math.sqrt((1.0 - a / a_trials) / a + (1.0 - b / b_trials) / b)
+
+
+class TestEstimatorForms:
+    """estimate_metrics on literal tallies against the classical SE formulas."""
+
+    CONFIG = _config(hbt_enabled=True)
+
+    def _est(self, **fields):
+        return estimate_metrics(_tallies(**fields), self.CONFIG)
+
+    @staticmethod
+    def _close(est, want):
+        value, se = want
+        assert est.value == pytest.approx(value, rel=1e-14, abs=0.0)
+        assert est.std_err == pytest.approx(se, rel=1e-14, abs=0.0)
+
+    def test_every_quantity(self):
+        c, est = _tallies(), self._est()
+        self._close(est.p_t, _binomial_form(c.heralds, c.slots))
+        self._close(est.p_cond, _binomial_form(c.signal_detections, c.gated_slots))
+        self._close(est.qber, _binomial_form(c.errors, c.registered_detections))
+        self._close(est.psnr, _ratio_form(c.signal_detections, c.gated_slots,
+                                          c.noise_detections, c.gated_slots))
+        self._close(est.car, _ratio_form(c.car_coincidences, c.slots,
+                                         c.car_accidentals, c.slots))
+        g2 = c.heralds * c.hbt_nc / (c.hbt_n2 * c.hbt_n3)
+        rel = math.sqrt((1.0 - c.heralds / c.slots) / c.heralds
+                        + (1.0 - c.hbt_nc / c.gated_slots) / c.hbt_nc
+                        + (1.0 - c.hbt_n2 / c.gated_slots) / c.hbt_n2
+                        + (1.0 - c.hbt_n3 / c.gated_slots) / c.hbt_n3)
+        self._close(est.g2, (g2, g2 * rel))
+        f = self.CONFIG.detector.pulse_rate_hz
+        p_t, se = _binomial_form(c.heralds, c.slots)
+        self._close(est.herald_rate_hz, (p_t * f, se * f))
+
+    def test_zero_numerators(self):
+        est = self._est(errors=0, car_coincidences=0, hbt_nc=0)
+        assert est.qber == est.car == est.g2 == Estimate(0.0, 0.0)
+        est = self._est(heralds=0, gated_slots=0, signal_detections=0, noise_detections=0,
+                        registered_detections=0, errors=0, hbt_n2=0, hbt_n3=0, hbt_nc=0)
+        assert est.p_t == est.herald_rate_hz == Estimate(0.0, 0.0)
+
+    def test_zero_denominators(self):
+        est = self._est(heralds=0, gated_slots=0, signal_detections=0, noise_detections=0,
+                        registered_detections=0, errors=0, hbt_n2=0, hbt_n3=0, hbt_nc=0)
+        assert est.p_cond is est.psnr is est.qber is est.g2 is None
+
+    def test_certain_click(self):
+        est = self._est(signal_detections=5_000, registered_detections=5_000)
+        assert est.p_cond == Estimate(1.0, 0.0)
+
+    def test_psnr_without_noise(self):
+        est = self._est(noise_detections=0, registered_detections=400)
+        assert est.psnr == Estimate(math.inf, math.inf)
+
+    @pytest.mark.parametrize("fields", [dict(hbt_n2=0, hbt_nc=0), dict(hbt_n3=0, hbt_nc=0)],
+                             ids=["n2", "n3"])
+    def test_g2_without_arm_clicks(self, fields):
+        assert self._est(**fields).g2 is None
+
+    def test_g2_needs_hbt(self):
+        assert estimate_metrics(_tallies(), _config()).g2 is None
+
+    def test_car_without_accidentals(self):
+        assert self._est(car_accidentals=0).car is None
+
+
 # analytic_std_errs pinned per quantity, in QUANTITIES order, at 1e6 slots
 NULL_SE_PINS = {
     "hps-noise": (
