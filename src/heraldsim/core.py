@@ -12,7 +12,8 @@ correlation g2(0) of the heralded output.
 Every closed form here and every expected tally in the simulator reads
 one source model: ``_gate_prob`` (1 for a WCS, the herald probability
 for an HPS) and ``_click_prob``, P(signal click | gated slot) behind a
-receiver-path transmittance.
+receiver-path transmittance, split over one receiver arm or two equal
+HBT arms.
 
 Conventions
 -----------
@@ -318,24 +319,34 @@ def _gate_prob(source: SourceSpec) -> float:
     return -math.expm1(-source.beta.value * source.mu)
 
 
-def _click_prob(source: SourceSpec, loss: float) -> float:
-    """P(signal click | gated slot) behind receiver-path transmittance ``loss``.
+def _click_prob(source: SourceSpec, loss: float, arms: int = 1) -> float:
+    """P(every one of ``arms`` equal receiver arms clicks | gated slot).
 
-    A WCS's Poisson photons are thinned by ``loss``.  An HPS's pairs reach
-    the herald with ``beta`` and the receiver with ``arm = alpha_s * loss``;
-    their joint click probability ``1 - e^(-beta*mu) - e^(-arm*mu) +
-    e^((arm*beta-arm-beta)*mu)`` is evaluated in an expm1 regrouping and
-    divided by the herald probability.  Its relative rounding error grows
-    as ~1e-16/arm.
+    Receiver-path transmittance ``loss`` is split evenly over ``arms``
+    threshold detectors: one for a plain receiver, two for an HBT pair
+    (``arms`` is 1 or 2).
+    Each arm sees Poisson photons of mean ``x = mu*loss/arms`` from a WCS
+    and ``x = mu*alpha_s*loss/arms`` from an HPS.  With
+    ``s = 1 - e^-x`` and ``t = 1 - e^(-x*(1 - beta))``, the WCS arms click
+    independently, ``s**arms``.  An HPS's pairs reach the herald with
+    ``beta``; every arm clicks with ``s**arms``, without a herald with
+    ``e^(-beta*mu) * t**arms``, and the difference over the herald
+    probability ``p_t`` is ``t**arms + e^-x * (e^(beta*x) - 1) * S / p_t``
+    with ``S = 1`` for one arm and ``s + t`` for two.  No term is
+    negative, so no digit cancels at any loss.
     """
     if source.kind == WCS:
-        return -math.expm1(-loss * source.mu)
-    p_t, mu, beta = _gate_prob(source), source.mu, source.beta.value
+        return (-math.expm1(-source.mu * loss / arms)) ** arms
+    p_t, beta = _gate_prob(source), source.beta.value
     if p_t <= 0.0:
         raise UndefinedConditionalError(
             "herald probability is zero (mu = 0); conditional detection is undefined")
-    arm = source.alpha_s.value * loss
-    return (p_t + math.exp(-arm * mu) * math.expm1(-beta * mu * (1.0 - arm))) / p_t
+    x = source.mu * source.alpha_s.value * loss / arms
+    t = -math.expm1(-x * (1.0 - beta))
+    gap = math.exp(-x) * math.expm1(beta * x) / p_t  # (s - t) / p_t
+    if arms == 1:
+        return t + gap
+    return t * t + gap * (t - math.expm1(-x))
 
 
 def wcs_detection_prob(source: SourceSpec, channel: ChannelSpec) -> float:

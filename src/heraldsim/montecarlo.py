@@ -445,10 +445,9 @@ def _expected_counts(config: SimConfig) -> _ExpectedCounts:
     simulate's one rule: a click with ``k`` noise photons errs with
     probability 1/2 without signal and ``(1 - 0.5^k)/2`` with it, so a
     gated slot errs with probability ``((1 - p_c)*p_n + p_c*E[1 - 0.5^k]) / 2``.
-    An HBT arm clicks with the click probability at half the loss; both
-    arms click with ``p2**2`` for a WCS, and for an HPS with P(both arms)
-    less P(no herald, both arms), over ``p_t``.  The arms get no closed
-    form when noise is coupled into them.
+    An HBT arm clicks with the click probability at half the loss, and
+    both arms with core's two-arm click probability.  The arms get no
+    closed form when noise is coupled into them.
     """
     src, ch = config.source, config.channel
     n, p_n = config.n_slots, ch.p_noise
@@ -475,14 +474,7 @@ def _expected_counts(config: SimConfig) -> _ExpectedCounts:
     if (config.hbt_enabled and live == 1.0 and p_gate > 0.0
             and not (config.hbt_noise_coupling and p_n > 0.0)):
         p2 = core._click_prob(src, ch.loss / 2.0)
-        if src.kind == core.WCS:
-            p23 = p2 * p2
-        else:
-            # P(herald, both arms) = P(both arms) - P(no herald, both arms), with
-            # x = mu*a/2 per arm; the equal 2*p2 - p_c would cancel at high loss
-            x, beta = src.mu * src.alpha_s.value * ch.loss / 2.0, src.beta.value
-            p23 = (math.expm1(-x) ** 2
-                   - math.exp(-beta * src.mu) * math.expm1(-x * (1.0 - beta)) ** 2) / p_gate
+        p23 = core._click_prob(src, ch.loss, arms=2)
     return _ExpectedCounts(
         slots=n, heralds=gated, gated_slots=gated,
         signal_detections=live_gated * p_c, noise_detections=live_gated * p_n,

@@ -5,13 +5,16 @@ direct truncated-Poisson enumeration, sharing no code with the package;
 frozen constants in the tests were produced by the same enumeration.
 """
 
+import decimal
 import math
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heraldsim import core
 from heraldsim.core import (DEFAULT_REPORTING_LOSS, ChannelSpec, DetectorSpec,
                             SourceSpec, Transmittance, UndefinedConditionalError,
                             db_to_linear, frequency_to_wavelength, g2_predicted,
@@ -187,6 +190,46 @@ class TestDetectionProbs:
         src = SourceSpec.hps(mu, 0.8, beta)
         p = hps_conditional_detection(src, _channel(0.3))
         assert 0.0 <= p <= 1.0
+
+
+CLICK_LOSSES = [1.0, 0.5, 1e-3, 1e-6, 1e-8]
+CLICK_MUS = [0.01, 0.11, 2.0]
+
+
+class TestClickProbDigits:
+    """core._click_prob against a 50-digit evaluation, one arm and two equal arms.
+
+    With ``x = mu*a*loss/arms`` per arm (``a = alpha_s`` for an HPS, 1 for a
+    WCS), every arm clicks with ``(1 - e^-x)**arms``; an HPS subtracts the
+    slots with no herald, ``e^(-beta*mu) * (1 - e^(-x*(1 - beta)))**arms``,
+    and divides by the herald probability.
+    """
+
+    @pytest.mark.parametrize("arms", [1, 2])
+    @pytest.mark.parametrize("mu", CLICK_MUS)
+    @pytest.mark.parametrize("loss", CLICK_LOSSES)
+    @pytest.mark.parametrize("beta", [1e-4, 4.68e-3, 0.05, 0.5, 1.0])
+    def test_hps(self, beta, loss, mu, arms):
+        src = SourceSpec.hps(mu, REF_SOURCE.alpha_s, beta)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d_mu, d_beta = Decimal(mu), Decimal(beta)
+            x = d_mu * Decimal(REF_SOURCE.alpha_s.value) * Decimal(loss) / arms
+            no_herald = (-d_beta * d_mu).exp()
+            joint = (1 - (-x).exp()) ** arms - no_herald * (1 - (-x * (1 - d_beta)).exp()) ** arms
+            want = joint / (1 - no_herald)
+        got = core._click_prob(src, loss, arms)
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("arms", [1, 2])
+    @pytest.mark.parametrize("mu", CLICK_MUS)
+    @pytest.mark.parametrize("loss", CLICK_LOSSES)
+    def test_wcs(self, loss, mu, arms):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            want = (1 - (-Decimal(mu) * Decimal(loss) / arms).exp()) ** arms
+        got = core._click_prob(SourceSpec.wcs(mu), loss, arms)
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
 class TestHeraldingEfficiency:
