@@ -32,8 +32,9 @@ from pathlib import Path
 
 from . import paper
 from .calibration import MeasuredCounts, beta_mu_from_rate, calibrate_source, mu_from_g2
-from .core import (DetectorSpec, Transmittance, _integer, _tagged, g2_predicted, linear_to_db,
-                   link_metrics, psnr_gain, psnr_gain_approx, qber_from_psnr, rate_penalty)
+from .core import (DetectorSpec, _db_transmittance, _integer, _real, _tagged, g2_predicted,
+                   linear_to_db, link_metrics, psnr_gain, psnr_gain_approx, qber_from_psnr,
+                   rate_penalty)
 from .montecarlo import (_MASK64, QUANTITIES, RunCounts, compare, derive_seed,
                          estimate_metrics, simulate)
 from .scenario import (Scenario, ScenarioError, build_scenario, load_scenario,
@@ -258,15 +259,17 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_values(args) -> list[float]:
+    start = _tagged("", _real, "--from", args.start)
+    stop = _tagged("", _real, "--to", args.stop)
     if args.steps == 1:
-        return [args.start]
+        return [start]
     if args.log:
-        if args.start <= 0.0 or args.stop <= 0.0:
+        if start <= 0.0 or stop <= 0.0:
             raise ScenarioError("--log", "log grids need positive endpoints")
-        ratio = (args.stop / args.start) ** (1.0 / (args.steps - 1))
-        return [args.start * ratio ** i for i in range(args.steps)]
-    step = (args.stop - args.start) / (args.steps - 1)
-    return [args.start + step * i for i in range(args.steps)]
+        ratio = (stop / start) ** (1.0 / (args.steps - 1))
+        return [start * ratio ** i for i in range(args.steps)]
+    step = (stop - start) / (args.steps - 1)
+    return [start + step * i for i in range(args.steps)]
 
 
 def _cmd_sweep(args) -> int:
@@ -317,7 +320,7 @@ def _cmd_infer(args) -> int:
     measured = MeasuredCounts(args.rate, detector, g2=args.g2)
     notes = []
     if args.beta_db is not None:
-        result = calibrate_source(measured, Transmittance.from_db(args.beta_db))
+        result = calibrate_source(measured, _db_transmittance("", "--beta-db", args.beta_db))
         rows = [("beta_mu", result.beta_mu), ("mu_from_rate", result.mu_from_rate)]
         if result.mu_from_g2 is not None:
             rows += [("mu_from_g2", result.mu_from_g2), ("mismatch", result.mismatch),

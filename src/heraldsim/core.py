@@ -12,8 +12,7 @@ correlation g2(0) of the heralded output.
 Every closed form here and every expected tally in the simulator reads
 one source model: ``_gate_prob`` (1 for a WCS, the herald probability
 for an HPS) and ``_click_prob``, P(signal click | gated slot) behind a
-receiver-path transmittance, split over one receiver arm or two equal
-HBT arms.
+receiver-path transmittance.
 
 Conventions
 -----------
@@ -213,10 +212,15 @@ def _transmittance_field(prefix: str, section: dict, name: str):
         return section.get(name)
     if name in section:
         raise ScenarioError(f"{prefix}.{name}", f"give either {name} or {db_name}, not both")
-    linear = db_to_linear(_tagged(prefix, _real, db_name, section[db_name], hi=0.0))
+    return _db_transmittance(prefix, db_name, section[db_name])
+
+
+def _db_transmittance(prefix: str, db_name: str, value) -> Transmittance:
+    """Transmittance of dB field (or, with no prefix, flag) ``db_name``; errors quote ``value``."""
+    linear = db_to_linear(_tagged(prefix, _real, db_name, value, hi=0.0))
     if linear == 0.0:
-        raise ScenarioError(f"{prefix}.{db_name}", "must be a dB value whose transmittance "
-                                                   f"is above 0, got {section[db_name]!r}")
+        raise ScenarioError(f"{prefix}.{db_name}" if prefix else db_name,
+                            f"must be a dB value whose transmittance is above 0, got {value!r}")
     return Transmittance(linear)
 
 
@@ -320,20 +324,14 @@ def _gate_prob(source: SourceSpec) -> float:
 
 
 def _click_prob(source: SourceSpec, loss: float, arms: int = 1) -> float:
-    """P(every one of ``arms`` equal receiver arms clicks | gated slot).
+    """P(all ``arms`` (1 or 2) receiver arms click | gated slot); they split ``loss`` evenly.
 
-    Receiver-path transmittance ``loss`` is split evenly over ``arms``
-    threshold detectors: one for a plain receiver, two for an HBT pair
-    (``arms`` is 1 or 2).
-    Each arm sees Poisson photons of mean ``x = mu*loss/arms`` from a WCS
-    and ``x = mu*alpha_s*loss/arms`` from an HPS.  With
-    ``s = 1 - e^-x`` and ``t = 1 - e^(-x*(1 - beta))``, the WCS arms click
-    independently, ``s**arms``.  An HPS's pairs reach the herald with
-    ``beta``; every arm clicks with ``s**arms``, without a herald with
-    ``e^(-beta*mu) * t**arms``, and the difference over the herald
-    probability ``p_t`` is ``t**arms + e^-x * (e^(beta*x) - 1) * S / p_t``
-    with ``S = 1`` for one arm and ``s + t`` for two.  No term is
-    negative, so no digit cancels at any loss.
+    Each arm sees Poisson photons of mean ``x = mu*loss/arms`` (a WCS) or
+    ``x = mu*alpha_s*loss/arms`` (an HPS).  With ``s = 1 - e^-x`` and
+    ``t = 1 - e^(-x*(1 - beta))``, a WCS gives ``s**arms`` and an HPS
+    P(all arms) - P(no herald, all arms) over ``p_t``, written as
+    ``t**arms + e^-x * (e^(beta*x) - 1) * S / p_t`` with ``S = 1`` for one
+    arm and ``s + t`` for two: no term is negative, so no digit cancels.
     """
     if source.kind == WCS:
         return (-math.expm1(-source.mu * loss / arms)) ** arms

@@ -4,20 +4,18 @@ Each pump pulse is one time slot.  A slot draws a Poisson photon-pair
 count (HPS) or photon count (WCS), thins each photon independently
 through the relevant transmittances with threshold detection at both
 ends, adds channel noise on gated slots, applies the basis-error
-bookkeeping, and optionally splits the receiver photons 50/50 for an
-HBT g2(0) measurement.  Tallies accumulate into :class:`RunCounts`;
-:func:`estimate_metrics` turns them into estimates.  Each is a ratio of
-counts, and one rule gives its first-order standard error: a count
-``c`` binomial over ``t`` trials adds ``(1 - c/t)/c`` to the squared
-relative error, so ``rel**2 = sum((1 - c/t)/c)`` over the ratio's
-counts.  One rule gives every prediction: it is the estimator
-at the expected tallies (slot counts times per-slot probabilities), and
-its null SE (:func:`analytic_std_errs`) is the estimator's SE there;
-:func:`compare` lines both up with a run's estimates as z-scores.  So
-g2 is predicted as ``p23 / p2**2`` (1 for a WCS); receiver deadtime
-thins p_cond, cancels from psnr and qber, and leaves g2 unpredicted
-when it alone drops clicks; and a quantity with no estimate at the
-expected tallies has no prediction.
+bookkeeping, and optionally splits the receiver photons 50/50 for an HBT
+g2(0) measurement.  Tallies accumulate into :class:`RunCounts`;
+:func:`estimate_metrics` turns them into estimates, each a ratio of
+binomial counts ``c`` of ``t`` trials with relative standard error
+``rel**2 = sum((1 - c/t)/c)``.  One rule gives every prediction: it is
+the estimator at the expected tallies (slot counts times per-slot
+probabilities), and its null SE (:func:`analytic_std_errs`) is the
+estimator's SE there; :func:`compare` lines both up with a run's
+estimates as z-scores.  So g2 is predicted as ``p23 / p2**2`` (1 for a
+WCS); receiver deadtime thins p_cond, cancels from psnr and qber, and
+leaves g2 unpredicted when it alone drops clicks; and a quantity with no
+estimate at the expected tallies has no prediction.
 
 Determinism: identical ``(config, seed)`` produce bit-identical
 :class:`RunCounts`.  The draw layout is part of that contract.  Each
@@ -173,8 +171,7 @@ class MetricsEstimate:
     herald_rate_hz: Estimate | None
 
 
-# The estimated quantities, in the order of MetricsEstimate's fields.
-QUANTITIES = ("p_t", "p_cond", "psnr", "qber", "g2", "car", "herald_rate_hz")
+QUANTITIES = tuple(f.name for f in fields(MetricsEstimate))
 
 
 class Comparison(NamedTuple):
@@ -350,15 +347,12 @@ def simulate(config: SimConfig) -> RunCounts:
 
 
 def _count_ratio(num: tuple, den: tuple) -> Estimate | None:
-    """Ratio of count products, with its first-order standard error.
+    """Product of the ``num`` counts over that of the ``den`` counts, with its SE.
 
-    ``num`` and ``den`` hold ``(count, trials)`` pairs, each count
-    binomial over its trials.  The value is the product of the numerator
-    counts over that of the denominator counts; its relative variance is
-    the sum of ``(1 - count/trials) / count`` over every pair.  A count
-    fraction ``c / n`` is ``(c, n)`` over ``(n, n)``: a fixed denominator
-    adds no variance.  None when a denominator count is 0; ``(0, 0)``
-    when a numerator count is.
+    Each term is a ``(count, trials)`` pair with a binomial count ``c`` of
+    ``t`` trials; ``rel**2 = sum((1 - c/t)/c)`` over all terms.  A fraction
+    ``c/n`` is ``(c, n)`` over ``(n, n)``, whose fixed ``n`` adds nothing.
+    None when a ``den`` count is 0; ``(0, 0)`` when a ``num`` count is.
     """
     top = bottom = 1
     rel2 = 0.0
@@ -399,17 +393,13 @@ def estimate_metrics(counts: RunCounts, config: SimConfig) -> MetricsEstimate:
     reg = c.registered_detections
     qber = _count_ratio(((c.errors, reg),), ((reg, reg),))
 
-    g2 = None
-    if config.hbt_enabled:
-        g2 = _count_ratio(((c.heralds, n), (c.hbt_nc, gated)),
-                          ((c.hbt_n2, gated), (c.hbt_n3, gated)))
+    g2 = _count_ratio(((c.heralds, n), (c.hbt_nc, gated)),
+                      ((c.hbt_n2, gated), (c.hbt_n3, gated))) if config.hbt_enabled else None
 
     car = _count_ratio(((c.car_coincidences, n),), ((c.car_accidentals, n),))
 
-    rate = None
-    if p_t is not None:
-        f = config.detector.pulse_rate_hz
-        rate = Estimate(p_t.value * f, p_t.std_err * f)
+    f = config.detector.pulse_rate_hz
+    rate = None if p_t is None else Estimate(p_t.value * f, p_t.std_err * f)
 
     return MetricsEstimate(p_t=p_t, p_cond=p_cond, psnr=psnr, qber=qber,
                            g2=g2, car=car, herald_rate_hz=rate)

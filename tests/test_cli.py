@@ -433,6 +433,17 @@ class TestSweep:
                             "--from", "0", "--to", "0.2", "--steps", "3", "--log")
         assert code == 2
 
+    @pytest.mark.parametrize("start,stop,flag,value", [
+        ("inf", "1", "--from", "inf"), ("0", "nan", "--to", "nan"),
+        ("-inf", "1", "--from", "-inf"), ("0", "inf", "--to", "inf")])
+    def test_non_finite_endpoint_names_flag(self, capsys, tmp_path, start, stop, flag, value):
+        # a linear grid would turn inf + (-inf)*0 into a nan point
+        path = _scenario(tmp_path)
+        code, out, err = _run(capsys, "sweep", path, "--param", "channel.p_noise",
+                              f"--from={start}", f"--to={stop}", "--steps", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: {flag}: must be a finite number, got {value}\n"
+
 
 class TestInfer:
     def test_rate_only(self, capsys, tmp_path):
@@ -540,6 +551,12 @@ class TestErrorRule:
         assert err.count(path) == 1
         if field.endswith("_db"):  # the value the file gave, not its linear form
             assert err.endswith(f", got {value!r}\n")
+
+    def test_db_flag_error_quotes_the_flag_and_its_db_value(self, capsys):
+        code, out, err = _run(capsys, "infer", "--rate", "20e3", "--deadtime", "10e-6",
+                              "--pulse-rate", "48.7e6", "--beta-db", "5")
+        assert code == 2 and out == ""
+        assert err == "error: --beta-db: must be a finite number <= 0, got 5.0\n"
 
 
 class TestWdm:

@@ -588,7 +588,8 @@ INDEPENDENCE_FLAGS = [
                             ("wcs", ("none", "receiver")))
     for model, hbt, deadtime in itertools.product(NOISE_MODELS, ("off", "on", "coupled"), deadtimes)]
 PREDICTION_HELPERS = ("analytic_predictions", "analytic_std_errs", "_live_fraction",
-                      "_expected_counts", "_at_expected_counts")
+                      "_expected_counts", "_at_expected_counts", "estimate_metrics",
+                      "_count_ratio")
 
 
 @pytest.mark.parametrize("kind,noise_model,hbt,deadtime", INDEPENDENCE_FLAGS)
