@@ -342,9 +342,7 @@ def _click_prob(source: SourceSpec, loss: float, arms: int = 1) -> float:
     x = source.mu * source.alpha_s.value * loss / arms
     t = -math.expm1(-x * (1.0 - beta))
     gap = math.exp(-x) * math.expm1(beta * x) / p_t  # (s - t) / p_t
-    if arms == 1:
-        return t + gap
-    return t * t + gap * (t - math.expm1(-x))
+    return t + gap if arms == 1 else t * t + gap * (t - math.expm1(-x))
 
 
 def wcs_detection_prob(source: SourceSpec, channel: ChannelSpec) -> float:

@@ -367,6 +367,7 @@ def _count_ratio(num: tuple, den: tuple) -> Estimate | None:
         top *= c
         rel2 += (1.0 - c / t) / c
     value = top / bottom
+    # value**2 * rel2, in the order that most often rounds a fraction's SE as sqrt(p(1-p)/n)
     return Estimate(value, math.sqrt(value * rel2 * top / bottom))
 
 
