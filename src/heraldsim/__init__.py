@@ -12,10 +12,8 @@ from .calibration import (CalibrationError, CalibrationResult, InfeasibleError,
 from .core import (DEFAULT_REPORTING_LOSS, SPEED_OF_LIGHT_M_S, ChannelSpec,
                    DetectorSpec, LinkMetrics, SourceSpec, Transmittance,
                    UndefinedConditionalError, db_to_linear, frequency_to_wavelength,
-                   g2_predicted, heralding_efficiency, hps_conditional_detection,
-                   hps_herald_prob, linear_to_db, link_metrics, psnr, psnr_gain,
-                   psnr_gain_approx, qber_exact, qber_from_psnr, rate_penalty,
-                   wavelength_to_frequency, wcs_detection_prob)
+                   g2_predicted, linear_to_db, link_metrics, psnr_gain, psnr_gain_approx,
+                   qber_exact, qber_from_psnr, rate_penalty, wavelength_to_frequency)
 from .montecarlo import (Comparison, Estimate, MetricsEstimate, RunCounts, SimConfig,
                          analytic_predictions, analytic_std_errs, compare,
                          derive_seed, estimate_metrics, simulate)
@@ -32,10 +30,8 @@ __all__ = [
     "SPEED_OF_LIGHT_M_S", "DEFAULT_REPORTING_LOSS", "Transmittance", "SourceSpec",
     "ChannelSpec", "DetectorSpec", "LinkMetrics", "UndefinedConditionalError",
     "db_to_linear", "linear_to_db", "wavelength_to_frequency",
-    "frequency_to_wavelength", "wcs_detection_prob", "hps_herald_prob",
-    "hps_conditional_detection", "heralding_efficiency", "psnr", "psnr_gain",
-    "psnr_gain_approx", "rate_penalty", "qber_exact", "qber_from_psnr",
-    "g2_predicted", "link_metrics",
+    "frequency_to_wavelength", "psnr_gain", "psnr_gain_approx", "rate_penalty",
+    "qber_exact", "qber_from_psnr", "g2_predicted", "link_metrics",
     # calibration
     "MeasuredCounts", "CalibrationResult", "SaturationError", "CalibrationError",
     "InfeasibleError", "beta_mu_from_rate", "mu_from_g2", "calibrate_source",

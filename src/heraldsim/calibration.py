@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (DetectorSpec, SourceSpec, Transmittance, _as_transmittance, _click_prob,
-                   _real, heralding_efficiency)
+from .core import (HPS, DetectorSpec, SourceSpec, Transmittance, _as_transmittance,
+                   _click_prob, _real, _require_kind)
 
 __all__ = [
     "SaturationError",
@@ -166,7 +166,8 @@ def solve_channel_loss(measured_p_cond: float, source: SourceSpec) -> float:
     value (the heralding efficiency).
     """
     measured_p_cond = _real("measured_p_cond", measured_p_cond, 0.0, 1.0, lo_open=True)
-    ceiling = heralding_efficiency(source)
+    _require_kind(source, HPS, "solve_channel_loss")
+    ceiling = _click_prob(source, 1.0)
     if measured_p_cond > ceiling:
         raise InfeasibleError(
             f"measured_p_cond {measured_p_cond:.6g} exceeds the lossless-channel "

@@ -315,9 +315,20 @@ def _cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- infer
 
+# the flag that sets each MeasuredCounts and DetectorSpec field
+_INFER_FLAGS = {"herald_rate_hz": "--rate", "deadtime_s": "--deadtime",
+                "pulse_rate_hz": "--pulse-rate", "g2": "--g2"}
+
+
 def _cmd_infer(args) -> int:
-    detector = DetectorSpec(pulse_rate_hz=args.pulse_rate, deadtime_s=args.deadtime)
-    measured = MeasuredCounts(args.rate, detector, g2=args.g2)
+    try:
+        detector = DetectorSpec(pulse_rate_hz=args.pulse_rate, deadtime_s=args.deadtime)
+        measured = MeasuredCounts(args.rate, detector, g2=args.g2)
+    except ValueError as exc:  # a field's own "<name> must ..." error names its flag
+        name, _, rest = str(exc).partition(" ")
+        if name in _INFER_FLAGS and rest.startswith("must "):
+            raise ScenarioError(_INFER_FLAGS[name], rest) from exc
+        raise
     notes = []
     if args.beta_db is not None:
         result = calibrate_source(measured, _db_transmittance("", "--beta-db", args.beta_db))

@@ -1,13 +1,13 @@
 """Closed-form link analytics for weak-coherent and heralded photon sources.
 
 This module models a pulsed photon source feeding a lossy fiber channel
-with gated threshold detection at the receiver.  It provides the detection
-probabilities for a weak coherent source (WCS) and a heralded photon
-source (HPS), the photon signal-to-noise ratio (PSNR) seen by the
-receiver, the quantum bit-error rate (QBER) implied by that PSNR, the
-PSNR improvement obtained by switching from WCS to HPS at equal mean
-photon number, the photon-rate cost of that switch, and the second-order
-correlation g2(0) of the heralded output.
+with gated threshold detection at the receiver.  :func:`link_metrics`
+gives, for a weak coherent source (WCS) or a heralded photon source
+(HPS), the detection probabilities, heralding efficiency, photon
+signal-to-noise ratio (PSNR) and quantum bit-error rate (QBER), beside
+those of the same-mu WCS.  Other functions give the PSNR improvement of
+an HPS over that WCS, its photon-rate cost, the QBER implied by a PSNR,
+and the second-order correlation g2(0) of the heralded output.
 
 Every closed form here and every expected tally in the simulator reads
 one source model: ``_gate_prob`` (1 for a WCS, the herald probability
@@ -46,11 +46,6 @@ __all__ = [
     "linear_to_db",
     "wavelength_to_frequency",
     "frequency_to_wavelength",
-    "wcs_detection_prob",
-    "hps_herald_prob",
-    "hps_conditional_detection",
-    "heralding_efficiency",
-    "psnr",
     "psnr_gain",
     "psnr_gain_approx",
     "rate_penalty",
@@ -305,6 +300,9 @@ class DetectorSpec:
         object.__setattr__(self, "pulse_rate_hz",
                            _real("pulse_rate_hz", self.pulse_rate_hz, 0.0, lo_open=True))
         object.__setattr__(self, "deadtime_s", _real("deadtime_s", self.deadtime_s, 0.0))
+        if not math.isfinite(self.deadtime_s * self.pulse_rate_hz):
+            raise ValueError(f"deadtime_s must span a finite number of pulses, got "
+                             f"{self.deadtime_s!r} s at {self.pulse_rate_hz:g} Hz")
 
 
 def _require_kind(source: SourceSpec, kind: str, op: str) -> None:
@@ -345,65 +343,16 @@ def _click_prob(source: SourceSpec, loss: float, arms: int = 1) -> float:
     return t + gap if arms == 1 else t * t + gap * (t - math.expm1(-x))
 
 
-def wcs_detection_prob(source: SourceSpec, channel: ChannelSpec) -> float:
-    """Probability that a WCS pulse produces a signal click at the receiver.
-
-    Poisson photon statistics thinned by the receiver path give
-    ``1 - exp(-alpha_r * alpha_d * mu)``.
-    """
-    _require_kind(source, WCS, "wcs_detection_prob")
-    return _click_prob(source, channel.loss)
-
-
-def hps_herald_prob(source: SourceSpec) -> float:
-    """Probability that an HPS pulse fires the herald detector.
-
-    Poisson pair statistics thinned by the herald arm give
-    ``1 - exp(-beta * mu)``.
-    """
-    _require_kind(source, HPS, "hps_herald_prob")
-    return _gate_prob(source)
-
-
-def hps_conditional_detection(source: SourceSpec, channel: ChannelSpec) -> float:
-    """P(signal click at the receiver | herald click), for an HPS.
-
-    The signal photon traverses ``alpha_s * alpha_r * alpha_d``; photon
-    pairs are Poissonian and both detectors are threshold detectors, so
-    multi-pair pulses raise this probability above the single-pair value.
-    """
-    _require_kind(source, HPS, "hps_conditional_detection")
-    return _click_prob(source, channel.loss)
-
-
-def heralding_efficiency(source: SourceSpec) -> float:
-    """P(signal photon leaves the source | herald click).
-
-    Equals the conditional detection probability with a lossless channel
-    and ideal receiver.  Approaches ``alpha_s`` as mu -> 0.
-    """
-    _require_kind(source, HPS, "heralding_efficiency")
-    return _click_prob(source, 1.0)
-
-
-def psnr(source: SourceSpec, channel: ChannelSpec) -> float:
-    """Photon signal-to-noise ratio at the receiver.
-
-    Ratio of the per-gated-slot QKD-photon detection probability (WCS:
-    unconditional, HPS: herald-conditioned) to the per-slot noise
-    detection probability.  Returns ``math.inf`` when ``p_noise == 0``.
-    """
-    p_qkd = _click_prob(source, channel.loss)
-    if channel.p_noise == 0.0:
-        return math.inf
-    return p_qkd / channel.p_noise
+def _psnr(p_qkd: float, p_noise: float) -> float:
+    """Signal over noise click probability per gated slot; ``math.inf`` at zero noise."""
+    return math.inf if p_noise == 0.0 else p_qkd / p_noise
 
 
 def psnr_gain(source: SourceSpec, channel: ChannelSpec | None = None) -> float:
     """Exact PSNR improvement from replacing a WCS with this HPS at equal mu.
 
-    Equals ``hps_conditional_detection / wcs_detection_prob`` for the same
-    channel, which is also the ratio of the two sources' PSNR values under
+    Equals ``p_cond / p_s`` of :func:`link_metrics` for the same channel,
+    which is also the ratio of the two sources' PSNR values under
     identical noise.  When ``channel`` is None the gain is evaluated at a
     receiver-path transmittance of ``DEFAULT_REPORTING_LOSS``; the gain
     depends only weakly on that choice.
@@ -485,6 +434,11 @@ class LinkMetrics:
     same mu, so an HPS row carries its own conditional metrics plus the
     WCS baseline it is compared against; for a WCS they are its own
     values.  WCS rows leave the HPS-only fields as None.
+
+    ``p_s`` and ``p_cond`` are P(signal click) per pulse and per herald,
+    ``p_t`` is P(herald click) per pulse, ``heralding_efficiency`` is
+    ``p_cond`` on a lossless channel and receiver (-> ``alpha_s`` as
+    mu -> 0), and ``psnr`` is ``math.inf`` when ``p_noise == 0``.
     """
 
     p_s: float
@@ -509,20 +463,20 @@ def link_metrics(source: SourceSpec, channel: ChannelSpec) -> LinkMetrics:
     """
     baseline = SourceSpec.wcs(source.mu)
     p_s = _click_prob(baseline, channel.loss)
-    psnr_wcs = psnr(baseline, channel)
+    psnr_wcs = _psnr(p_s, channel.p_noise)
     qber_wcs = qber_exact(p_s, channel.p_noise)
     if source.kind == WCS:
         return LinkMetrics(p_s, psnr_wcs, qber_wcs, psnr_wcs, qber_wcs)
     p_cond = _click_prob(source, channel.loss)
     return LinkMetrics(
         p_s=p_s,
-        psnr=psnr(source, channel),
+        psnr=_psnr(p_cond, channel.p_noise),
         qber=qber_exact(p_cond, channel.p_noise),
         psnr_wcs=psnr_wcs,
         qber_wcs=qber_wcs,
         p_t=_gate_prob(source),
         p_cond=p_cond,
-        heralding_efficiency=heralding_efficiency(source),
+        heralding_efficiency=_click_prob(source, 1.0),
         psnr_gain=p_cond / p_s,
         rate_penalty=rate_penalty(source),
     )

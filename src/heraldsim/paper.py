@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import (DEFAULT_REPORTING_LOSS, ChannelSpec, DetectorSpec, SourceSpec,
-                   Transmittance, wcs_detection_prob)
+                   Transmittance, _click_prob)
 
 __all__ = ["REFERENCE_SOURCE", "PULSE_RATE_HZ", "DEADTIME_S", "REFERENCE_DETECTOR",
            "Fig7Channel", "FIG7_CHANNELS", "CHI_TABLE", "RATE_PENALTY_DB",
@@ -44,10 +44,9 @@ class Fig7Channel(NamedTuple):
 
         Every derived quantity of the channel then follows from the model.
         """
-        loss, unity = Transmittance(DEFAULT_REPORTING_LOSS), Transmittance(1.0)
-        p_s = wcs_detection_prob(SourceSpec.wcs(REFERENCE_SOURCE.mu),
-                                 ChannelSpec(loss, unity))
-        return ChannelSpec(loss, unity, p_s / self.psnr_wcs)
+        loss = Transmittance(DEFAULT_REPORTING_LOSS)
+        p_s = _click_prob(SourceSpec.wcs(REFERENCE_SOURCE.mu), loss.value)
+        return ChannelSpec(loss, Transmittance(1.0), p_s / self.psnr_wcs)
 
 
 FIG7_CHANNELS = (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import (ChannelSpec, DetectorSpec, ScenarioError, SourceSpec, _check_keys,
@@ -27,25 +27,18 @@ __all__ = ["ScenarioError", "Scenario", "SCENARIO_DEFAULTS", "load_scenario_dict
            "build_scenario", "load_scenario", "numeric_leaf_paths", "set_path"]
 
 
+# simulation fields other than n_slots take their SimConfig defaults
 SCENARIO_DEFAULTS: dict = {
     "channel": {"alpha_r_db": 0.0, "alpha_d_db": 0.0, "p_noise": 0.0},
     "detector": {"pulse_rate_hz": PULSE_RATE_HZ, "deadtime_s": DEADTIME_S},
-    "simulation": {
-        "n_slots": 1_000_000,
-        "seed": 0,
-        "noise_model": "bernoulli-per-gate",
-        "apply_herald_deadtime": False,
-        "hbt_enabled": False,
-        "hbt_noise_coupling": False,
-        "apply_receiver_deadtime": False,
-    },
+    "simulation": {"n_slots": 1_000_000},
 }
 
 _SECTION_KEYS = {
     "source": {"kind", "mu", "alpha_s", "alpha_s_db", "beta", "beta_db"},
     "channel": {"alpha_r", "alpha_r_db", "alpha_d", "alpha_d_db", "p_noise"},
-    "detector": set(SCENARIO_DEFAULTS["detector"]),
-    "simulation": set(SCENARIO_DEFAULTS["simulation"]),
+    "detector": {f.name for f in fields(DetectorSpec)},
+    "simulation": {f.name for f in fields(SimConfig)} - {"source", "channel", "detector"},
 }
 
 

@@ -11,8 +11,7 @@ from heraldsim.calibration import (CalibrationError, InfeasibleError,
                                    MeasuredCounts, SaturationError,
                                    beta_mu_from_rate, calibrate_source,
                                    mu_from_g2, solve_channel_loss)
-from heraldsim.core import (SourceSpec, Transmittance, g2_predicted,
-                            heralding_efficiency, hps_conditional_detection,
+from heraldsim.core import (SourceSpec, Transmittance, g2_predicted, link_metrics,
                             ChannelSpec, DetectorSpec)
 from heraldsim.paper import (APPENDIX_B_G2 as REF_G2, APPENDIX_B_HERALD_RATE_HZ as REF_RATE,
                              REFERENCE_DETECTOR as REF_DETECTOR,
@@ -134,19 +133,20 @@ class TestCalibrateSource:
 
 class TestSolveChannelLoss:
     def test_round_trip(self):
-        target = hps_conditional_detection(
-            REF_SOURCE, ChannelSpec(Transmittance(0.05), Transmittance(1.0)))
+        target = link_metrics(
+            REF_SOURCE, ChannelSpec(Transmittance(0.05), Transmittance(1.0))).p_cond
         assert solve_channel_loss(target, REF_SOURCE) == pytest.approx(0.05, rel=1e-9)
 
     @given(loss=st.floats(1e-4, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, loss):
-        target = hps_conditional_detection(
-            REF_SOURCE, ChannelSpec(Transmittance(loss), Transmittance(1.0)))
+        target = link_metrics(
+            REF_SOURCE, ChannelSpec(Transmittance(loss), Transmittance(1.0))).p_cond
         assert solve_channel_loss(target, REF_SOURCE) == pytest.approx(loss, rel=1e-6)
 
     def test_infeasible_target(self):
-        ceiling = heralding_efficiency(REF_SOURCE)
+        lossless = ChannelSpec(Transmittance(1.0), Transmittance(1.0))
+        ceiling = link_metrics(REF_SOURCE, lossless).heralding_efficiency
         with pytest.raises(InfeasibleError):
             solve_channel_loss(ceiling * 1.01, REF_SOURCE)
 

@@ -558,6 +558,27 @@ class TestErrorRule:
         assert code == 2 and out == ""
         assert err == "error: --beta-db: must be a finite number <= 0, got 5.0\n"
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--rate", "-1", "must be a finite number >= 0, got -1.0"),
+        ("--deadtime", "nan", "must be a finite number >= 0, got nan"),
+        ("--pulse-rate", "0", "must be a finite number > 0, got 0.0"),
+        ("--g2", "1", "must be a finite number in [0, 1), got 1.0")])
+    def test_infer_field_error_names_its_flag(self, capsys, flag, value, message):
+        flags = {"--rate": "20e3", "--deadtime": "10e-6", "--pulse-rate": "48.7e6",
+                 flag: value}
+        code, out, err = _run(capsys, "infer", *(x for kv in flags.items() for x in kv))
+        assert code == 2 and out == ""
+        assert err == f"error: {flag}: {message}\n"
+
+    def test_overflowing_deadtime_is_a_field_error(self, capsys, tmp_path):
+        # 1e301 s spans more pulses than a float holds at any clock above 1.8e7 Hz
+        path = _scenario(tmp_path, detector={"deadtime_s": 1e301},
+                         simulation={"n_slots": 1000})
+        for command in ("analyze", "simulate"):
+            code, out, err = _run(capsys, command, path)
+            assert code == 2 and out == ""
+            assert err.startswith("error: detector.deadtime_s: must span a finite number")
+
 
 class TestWdm:
     def _plan(self, tmp_path, channels, name="plan.json"):

@@ -18,11 +18,9 @@ from heraldsim import core
 from heraldsim.core import (DEFAULT_REPORTING_LOSS, ChannelSpec, DetectorSpec,
                             SourceSpec, Transmittance, UndefinedConditionalError,
                             db_to_linear, frequency_to_wavelength, g2_predicted,
-                            heralding_efficiency, hps_conditional_detection,
-                            hps_herald_prob, linear_to_db, link_metrics, psnr,
-                            psnr_gain, psnr_gain_approx, qber_exact,
-                            qber_from_psnr, rate_penalty, wavelength_to_frequency,
-                            wcs_detection_prob)
+                            linear_to_db, link_metrics, psnr_gain, psnr_gain_approx,
+                            qber_exact, qber_from_psnr, rate_penalty,
+                            wavelength_to_frequency)
 from heraldsim.paper import CHI_TABLE, REFERENCE_SOURCE as REF_SOURCE
 
 KMAX = 400
@@ -51,6 +49,10 @@ def enum_p_cond(mu, beta, arm):
 
 def _channel(loss=1.0, p_noise=0.0):
     return ChannelSpec(Transmittance(loss), Transmittance(1.0), p_noise)
+
+
+def _p_cond(source, loss):
+    return link_metrics(source, _channel(loss)).p_cond
 
 
 class TestConversions:
@@ -122,39 +124,41 @@ class TestSpecs:
         with pytest.raises(ValueError):
             DetectorSpec(pulse_rate_hz=1e6, deadtime_s=-1.0)
 
+    def test_deadtime_must_span_finite_pulses(self):
+        # deadtime_s * pulse_rate_hz is the lockout in slots, which must be a float
+        with pytest.raises(ValueError, match=r"^deadtime_s must span a finite number"):
+            DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=1e301)
+        with pytest.raises(ValueError, match=r"^deadtime_s "):
+            DetectorSpec(pulse_rate_hz=1e300, deadtime_s=1e10)
+        assert DetectorSpec(pulse_rate_hz=48.7e6, deadtime_s=1e290).deadtime_s == 1e290
+
 
 class TestDetectionProbs:
     def test_wcs_frozen(self):
-        assert wcs_detection_prob(SourceSpec.wcs(0.11), _channel()) == pytest.approx(
+        assert link_metrics(SourceSpec.wcs(0.11), _channel()).p_s == pytest.approx(
             0.10416586470347175, rel=1e-12)
         ch = ChannelSpec(Transmittance(0.5), Transmittance(0.2))
-        assert wcs_detection_prob(SourceSpec.wcs(0.1), ch) == pytest.approx(
+        assert link_metrics(SourceSpec.wcs(0.1), ch).p_s == pytest.approx(
             0.009950166250831949, rel=1e-12)
 
     def test_wcs_zero_mu(self):
-        assert wcs_detection_prob(SourceSpec.wcs(0.0), _channel()) == 0.0
-
-    def test_wcs_kind_guard(self):
-        with pytest.raises(ValueError):
-            wcs_detection_prob(REF_SOURCE, _channel())
+        assert link_metrics(SourceSpec.wcs(0.0), _channel()).p_s == 0.0
 
     def test_herald_prob_frozen(self):
-        assert hps_herald_prob(REF_SOURCE) == pytest.approx(0.000514376318534796, rel=1e-10)
+        assert link_metrics(REF_SOURCE, _channel()).p_t == pytest.approx(
+            0.000514376318534796, rel=1e-10)
 
     def test_conditional_frozen(self):
-        assert hps_conditional_detection(REF_SOURCE, _channel(1.0)) == pytest.approx(
-            0.24270796116822682, rel=1e-10)
-        assert hps_conditional_detection(REF_SOURCE, _channel(1e-3)) == pytest.approx(
-            0.00024843465734986504, rel=1e-10)
-        assert hps_conditional_detection(REF_SOURCE, _channel(0.05)) == pytest.approx(
-            0.01240752678909819, rel=1e-10)
+        assert _p_cond(REF_SOURCE, 1.0) == pytest.approx(0.24270796116822682, rel=1e-10)
+        assert _p_cond(REF_SOURCE, 1e-3) == pytest.approx(0.00024843465734986504, rel=1e-10)
+        assert _p_cond(REF_SOURCE, 0.05) == pytest.approx(0.01240752678909819, rel=1e-10)
 
     def test_conditional_matches_enumeration(self):
         for mu in (0.01, 0.11, 0.3, 0.5):
             for beta in (1e-3, 0.004677351412871981, 0.05):
                 for loss in (1.0, 0.05, 1e-3):
                     src = SourceSpec.hps(mu, REF_SOURCE.alpha_s, beta)
-                    got = hps_conditional_detection(src, _channel(loss))
+                    got = _p_cond(src, loss)
                     want = enum_p_cond(mu, beta, REF_SOURCE.alpha_s.value * loss)
                     assert got == pytest.approx(want, rel=1e-9), (mu, beta, loss)
 
@@ -162,16 +166,17 @@ class TestDetectionProbs:
         for mu in (0.01, 0.11, 0.5):
             for beta in (1e-3, 0.05, 1.0):
                 src = SourceSpec.hps(mu, 0.5, beta)
-                assert hps_herald_prob(src) == pytest.approx(enum_p_t(mu, beta), rel=1e-9)
+                assert link_metrics(src, _channel()).p_t == pytest.approx(
+                    enum_p_t(mu, beta), rel=1e-9)
 
     def test_conditional_mu_zero_raises(self):
         src = SourceSpec.hps(0.0, 0.5, 0.01)
         with pytest.raises(UndefinedConditionalError):
-            hps_conditional_detection(src, _channel())
+            link_metrics(src, _channel())
 
     def test_lossless_conditional_is_one(self):
         src = SourceSpec.hps(0.11, 1.0, 1.0)
-        assert hps_conditional_detection(src, _channel()) == pytest.approx(1.0, abs=1e-15)
+        assert _p_cond(src, 1.0) == pytest.approx(1.0, abs=1e-15)
 
     @given(mu=st.floats(1e-4, 0.5), beta=st.floats(1e-4, 0.1),
            lo=st.floats(1e-4, 0.9), hi=st.floats(1e-4, 0.9))
@@ -181,14 +186,13 @@ class TestDetectionProbs:
         if hi - lo < 1e-9:
             return
         src = SourceSpec.hps(mu, 0.8, beta)
-        assert (hps_conditional_detection(src, _channel(lo))
-                <= hps_conditional_detection(src, _channel(hi)) + 1e-15)
+        assert _p_cond(src, lo) <= _p_cond(src, hi) + 1e-15
 
     @given(mu=st.floats(1e-4, 0.5), beta=st.floats(1e-4, 0.1))
     @settings(max_examples=60, deadline=None)
     def test_conditional_in_unit_range(self, mu, beta):
         src = SourceSpec.hps(mu, 0.8, beta)
-        p = hps_conditional_detection(src, _channel(0.3))
+        p = _p_cond(src, 0.3)
         assert 0.0 <= p <= 1.0
 
 
@@ -235,28 +239,30 @@ class TestClickProbDigits:
 class TestHeraldingEfficiency:
     def test_small_mu_limit(self):
         src = SourceSpec.hps(1e-8, 0.45, 0.45)
-        assert heralding_efficiency(src) == pytest.approx(0.45000000191812495, rel=1e-10)
+        assert link_metrics(src, _channel()).heralding_efficiency == pytest.approx(
+            0.45000000191812495, rel=1e-10)
 
     def test_equals_lossless_conditional(self):
-        assert heralding_efficiency(REF_SOURCE) == hps_conditional_detection(
-            REF_SOURCE, _channel(1.0))
+        m = link_metrics(REF_SOURCE, _channel(1.0))
+        assert m.heralding_efficiency == m.p_cond
 
     @given(mu=st.floats(1e-4, 0.5), alpha_s=st.floats(1e-3, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_at_least_alpha_s(self, mu, alpha_s):
         # multi-pair pulses can only help a threshold detector
         src = SourceSpec.hps(mu, alpha_s, 0.01)
-        assert heralding_efficiency(src) >= alpha_s - 1e-12
+        assert link_metrics(src, _channel()).heralding_efficiency >= alpha_s - 1e-12
 
 
 class TestPsnrAndGain:
     def test_unbounded_marker(self):
-        assert psnr(SourceSpec.wcs(0.1), _channel()) == math.inf
+        assert link_metrics(SourceSpec.wcs(0.1), _channel()).psnr == math.inf
 
     def test_ratio_identity(self):
         # exact gain equals the ratio of the two sources' PSNR values
         ch = _channel(0.05, p_noise=1e-3)
-        ratio = psnr(REF_SOURCE, ch) / psnr(SourceSpec.wcs(REF_SOURCE.mu), ch)
+        m = link_metrics(REF_SOURCE, ch)
+        ratio = m.psnr / m.psnr_wcs
         assert psnr_gain(REF_SOURCE, ch) == pytest.approx(ratio, rel=1e-9)
 
     def test_gain_frozen_reference_points(self):
@@ -360,11 +366,10 @@ class TestLinkMetrics:
     def test_hps_fields(self):
         ch = _channel(1e-3, p_noise=2.709e-5)
         m = link_metrics(REF_SOURCE, ch)
-        assert m.p_t == pytest.approx(hps_herald_prob(REF_SOURCE), rel=1e-12)
-        assert m.p_cond == pytest.approx(
-            hps_conditional_detection(REF_SOURCE, ch), rel=1e-12)
+        assert m.p_t == pytest.approx(core._gate_prob(REF_SOURCE), rel=1e-12)
+        assert m.p_cond == pytest.approx(core._click_prob(REF_SOURCE, ch.loss), rel=1e-12)
         assert m.p_s == pytest.approx(
-            wcs_detection_prob(SourceSpec.wcs(REF_SOURCE.mu), ch), rel=1e-12)
+            core._click_prob(SourceSpec.wcs(REF_SOURCE.mu), ch.loss), rel=1e-12)
         assert m.psnr == pytest.approx(m.p_cond / ch.p_noise, rel=1e-12)
         assert m.qber == pytest.approx(qber_exact(m.p_cond, ch.p_noise), rel=1e-12)
         assert m.psnr_gain == pytest.approx(m.p_cond / m.p_s, rel=1e-12)

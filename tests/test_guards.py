@@ -7,7 +7,9 @@ peak RSS at 5%.  The bench pin holds the benchmark's own copy of the
 reference setup, which it keeps so that it runs the same workloads on
 every checkout, to ``heraldsim.paper``.  The tracer pin keeps the names the
 benchmark's per-layer spans wrap: the tracer skips a name it cannot find,
-so a rename would silently drop that layer's metrics.
+so a rename would silently drop that layer's metrics.  The public-API
+guard keeps every ``__all__`` to names its module defines, and each
+package-level name to the object of the submodule that exports it.
 """
 
 import dataclasses
@@ -72,3 +74,19 @@ def test_bench_tracer_names_resolve(monkeypatch):
         assert not missing, (layer, missing)
     fields = {f.name for f in dataclasses.fields(RunCounts)}
     assert {"slots", "heralds", "gated_slots"} <= fields
+
+
+
+SUBMODULES = ("calibration", "cli", "core", "montecarlo", "paper", "scenario", "wdm")
+
+
+def test_public_names_resolve_to_their_definitions():
+    # a function deleted from a module but left in an __all__ fails here
+    modules = [importlib.import_module(f"heraldsim.{name}") for name in SUBMODULES]
+    for module in (heraldsim, *modules):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+    for name in set(heraldsim.__all__) - {"__version__"}:
+        homes = [m for m in modules if name in m.__all__]
+        assert homes, name
+        assert all(getattr(m, name) is getattr(heraldsim, name) for m in homes), name

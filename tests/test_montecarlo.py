@@ -180,12 +180,6 @@ class TestAgainstClosedForms:
         assert est.p_t.value == 0.0
 
 
-def _signal_click_prob(source, channel):
-    if source.kind == core.WCS:
-        return core.wcs_detection_prob(source, channel)
-    return core.hps_conditional_detection(source, channel)
-
-
 CHANNEL_11 = FIG7_CHANNELS[0].channel
 
 
@@ -202,7 +196,7 @@ class TestQberPrediction:
         cfg = _config(source=source, channel=channel, noise_model="poisson-per-gate")
         with decimal.localcontext() as ctx:
             ctx.prec = 50
-            p, p_n = Decimal(_signal_click_prob(source, channel)), Decimal(p_noise)
+            p, p_n = Decimal(core._click_prob(source, channel.loss)), Decimal(p_noise)
             errs = ((1 - p) * p_n + p * (1 - (1 - p_n).sqrt())) / 2
             exact = errs / (p + (1 - p) * p_n)
         got = analytic_predictions(cfg)["qber"]
@@ -217,7 +211,7 @@ class TestQberPrediction:
         source = _hps(mu=mu) if kind == "hps" else SourceSpec.wcs(mu)
         channel = _channel(0.05, p_noise)
         cfg = _config(source=source, channel=channel)
-        want = core.qber_exact(_signal_click_prob(source, channel), p_noise)
+        want = core.qber_exact(core._click_prob(source, channel.loss), p_noise)
         assert analytic_predictions(cfg)["qber"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
