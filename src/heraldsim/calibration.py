@@ -3,8 +3,8 @@
 The herald detector is the only place an HPS can be characterized without
 touching the quantum channel.  Two observables are used here:
 
-* the herald count rate, which after correcting for detector deadtime
-  gives the per-pulse herald mean ``beta * mu``;
+* the herald count rate, which after correcting for the detector's
+  lockout in whole slots gives the per-pulse herald mean ``beta * mu``;
 * the heralded g2(0), which fixes ``mu`` itself because multi-pair
   emission grows with mu.
 
@@ -39,7 +39,7 @@ MISMATCH_FAIL = 0.50
 
 
 class SaturationError(ValueError):
-    """Observed rate is too close to the deadtime-limited maximum to correct."""
+    """Observed rate reaches one herald per deadtime lockout plus the herald's slot."""
 
 
 class CalibrationError(ValueError):
@@ -52,7 +52,12 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class MeasuredCounts:
-    """Herald-detector observables for one operating point."""
+    """Herald-detector observables for one operating point.
+
+    One accepted herald plus its lockout of ``L = detector.deadtime_slots``
+    slots spans ``L + 1`` slots, so a rate ``r`` with ``r * (L + 1)`` at or
+    above the pulse rate is refused with :class:`SaturationError`.
+    """
 
     herald_rate_hz: float
     detector: DetectorSpec
@@ -63,37 +68,29 @@ class MeasuredCounts:
                            _real("herald_rate_hz", self.herald_rate_hz, 0.0))
         if not isinstance(self.detector, DetectorSpec):
             raise ValueError("detector must be a DetectorSpec")
-        # beyond this the deadtime correction diverges
-        if self.herald_rate_hz * self.detector.deadtime_s >= 1.0:
+        span = self.detector.deadtime_slots + 1
+        if self.herald_rate_hz * span >= self.detector.pulse_rate_hz:
             raise SaturationError(
-                f"herald_rate_hz * deadtime_s = "
-                f"{self.herald_rate_hz * self.detector.deadtime_s:.6g} >= 1; "
-                "the detector spends all its time dead")
+                f"herald_rate_hz * (deadtime_slots + 1) = {self.herald_rate_hz * span:.6g} "
+                f">= pulse_rate_hz {self.detector.pulse_rate_hz:.6g}; the detector "
+                f"cannot count more than one herald per {span} slots")
         if self.g2 is not None:
             object.__setattr__(self, "g2", _real("g2", self.g2, 0.0, 1.0, hi_open=True))
 
 
 def beta_mu_from_rate(measured: MeasuredCounts) -> float:
-    """Deadtime-corrected per-pulse herald mean from the observed rate.
+    """Per-pulse herald mean ``beta * mu`` from the observed herald rate.
 
-    Each detection blinds the detector for ``deadtime_s``, so the live
-    fraction is ``1 - r * deadtime_s`` and the corrected mean is
-    ``r / ((1 - r * deadtime_s) * pulse_rate_hz)``.
-
-    The live fraction is positive, since :class:`MeasuredCounts` refuses
-    ``r * deadtime_s >= 1``.  Raises :class:`SaturationError` when the
-    corrected value reaches one herald per pulse, which a threshold
-    detector cannot produce.
+    Inverts the simulator's lockout: an accepted herald locks the detector
+    for ``L = detector.deadtime_slots`` slots, so a per-pulse herald
+    probability ``p`` is seen at ``h = p / (1 + L*p)`` heralds per slot.
+    With ``h = r / pulse_rate_hz`` that gives ``p = h / (1 - L*h)``, and
+    Poisson pairs give ``beta * mu = -ln(1 - p)``, computed as
+    ``ln(1 + h / (1 - (L + 1)*h))`` so that no digit cancels.  It is
+    finite, since :class:`MeasuredCounts` refuses ``h * (L + 1) >= 1``.
     """
-    r = measured.herald_rate_hz
-    det = measured.detector
-    live = 1.0 - r * det.deadtime_s
-    beta_mu = r / (live * det.pulse_rate_hz)
-    if beta_mu >= 1.0:
-        raise SaturationError(
-            f"deadtime correction implies {beta_mu:.6g} heralds per pulse; "
-            "a threshold detector saturates below 1")
-    return beta_mu
+    r, f = measured.herald_rate_hz, measured.detector.pulse_rate_hz
+    return math.log1p(r / (f - (measured.detector.deadtime_slots + 1) * r))
 
 
 def mu_from_g2(g2: float, beta_mu: float) -> float:

@@ -54,8 +54,6 @@ WDM_SIM_QUANTITIES = ("p_t", "p_cond", "qber")
 def _fmt(x, digits: str = ".12g") -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
@@ -261,11 +259,11 @@ def _cmd_simulate(args) -> int:
 def _sweep_values(args) -> list[float]:
     start = _tagged("", _real, "--from", args.start)
     stop = _tagged("", _real, "--to", args.stop)
+    if args.log and (start <= 0.0 or stop <= 0.0):
+        raise ScenarioError("--log", "log grids need positive endpoints")
     if args.steps == 1:
         return [start]
     if args.log:
-        if start <= 0.0 or stop <= 0.0:
-            raise ScenarioError("--log", "log grids need positive endpoints")
         ratio = (stop / start) ** (1.0 / (args.steps - 1))
         return [start * ratio ** i for i in range(args.steps)]
     step = (stop - start) / (args.steps - 1)

@@ -58,7 +58,7 @@ __all__ = [
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 # Herald-arm and receiver losses cancel out of PSNR-gain only approximately;
-# when no channel is given, gain is reported at this receiver-path loss.
+# psnr_gain reports the gain at this receiver-path loss.
 DEFAULT_REPORTING_LOSS = 1e-3
 
 # 10 ** (db / 10) overflows a float at and above this many dB.
@@ -304,6 +304,16 @@ class DetectorSpec:
             raise ValueError(f"deadtime_s must span a finite number of pulses, got "
                              f"{self.deadtime_s!r} s at {self.pulse_rate_hz:g} Hz")
 
+    @property
+    def deadtime_slots(self) -> int:
+        """Slots locked after a detection: ceil(deadtime_s * pulse_rate_hz).
+
+        The one lockout that the simulator, its predictions and the rate
+        calibration share.  The product is rounded to 1e-6 slots first so
+        that exactly integral deadtimes are not pushed up a slot by float noise.
+        """
+        return math.ceil(round(self.deadtime_s * self.pulse_rate_hz, 6))
+
 
 def _require_kind(source: SourceSpec, kind: str, op: str) -> None:
     if source.kind != kind:
@@ -348,17 +358,16 @@ def _psnr(p_qkd: float, p_noise: float) -> float:
     return math.inf if p_noise == 0.0 else p_qkd / p_noise
 
 
-def psnr_gain(source: SourceSpec, channel: ChannelSpec | None = None) -> float:
+def psnr_gain(source: SourceSpec) -> float:
     """Exact PSNR improvement from replacing a WCS with this HPS at equal mu.
 
-    Equals ``p_cond / p_s`` of :func:`link_metrics` for the same channel,
-    which is also the ratio of the two sources' PSNR values under
-    identical noise.  When ``channel`` is None the gain is evaluated at a
-    receiver-path transmittance of ``DEFAULT_REPORTING_LOSS``; the gain
-    depends only weakly on that choice.
+    The ``psnr_gain`` of :func:`link_metrics`, ``p_cond / p_s``, at a
+    receiver-path transmittance of ``DEFAULT_REPORTING_LOSS``; it is also
+    the ratio of the two sources' PSNR values under identical noise, and
+    depends only weakly on the loss.
     """
     _require_kind(source, HPS, "psnr_gain")
-    loss = DEFAULT_REPORTING_LOSS if channel is None else channel.loss
+    loss = DEFAULT_REPORTING_LOSS
     return _click_prob(source, loss) / _click_prob(SourceSpec.wcs(source.mu), loss)
 
 

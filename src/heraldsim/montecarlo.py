@@ -98,15 +98,6 @@ class SimConfig:
         if self.hbt_noise_coupling and not self.hbt_enabled:
             raise ValueError("hbt_noise_coupling requires hbt_enabled")
 
-    @property
-    def deadtime_slots(self) -> int:
-        """Slots locked after a detection: ceil(deadtime_s * pulse_rate_hz).
-
-        The product is rounded to 1e-6 slots first so that exactly
-        integral deadtimes are not pushed up a slot by float noise.
-        """
-        return math.ceil(round(self.detector.deadtime_s * self.detector.pulse_rate_hz, 6))
-
 
 @dataclass(frozen=True)
 class RunCounts:
@@ -235,9 +226,9 @@ def simulate(config: SimConfig) -> RunCounts:
     photon.  One error rule covers both noise models: a click with ``k``
     noise photons errs with probability 1/2 without signal and
     ``(1 - 0.5^k)/2`` with it (1/4 at ``k = 1``).  Optional herald
-    deadtime locks the herald detector for ``deadtime_slots`` slots after
-    an accepted herald; optional receiver deadtime suppresses gated
-    detections the same way on the receiver side.  With ``hbt_enabled``,
+    deadtime locks the herald detector for ``detector.deadtime_slots``
+    slots after an accepted herald; optional receiver deadtime suppresses
+    gated detections the same way on the receiver side.  With ``hbt_enabled``,
     the surviving signal photons (and, under ``hbt_noise_coupling``, the
     noise photons) route 50/50 onto two detectors whose counts and
     coincidences are tallied.  CAR windows pair each herald with the
@@ -253,7 +244,7 @@ def simulate(config: SimConfig) -> RunCounts:
     arm = (src.alpha_s.value if is_hps else 1.0) * ch.loss
     p_noise = ch.p_noise
     noise_lam = -math.log1p(-p_noise)
-    lock = config.deadtime_slots
+    lock = config.detector.deadtime_slots
 
     n = config.n_slots
     heralds = sig_total = noise_total = reg_total = err_total = 0
@@ -417,7 +408,7 @@ def _live_fraction(config: SimConfig, q: float) -> float:
     """
     if not config.apply_receiver_deadtime or config.apply_herald_deadtime:
         return 1.0
-    return 1.0 / (1.0 + config.deadtime_slots * q)
+    return 1.0 / (1.0 + config.detector.deadtime_slots * q)
 
 
 # RunCounts' fields as floats, for the expected tallies of a run
@@ -444,7 +435,7 @@ def _expected_counts(config: SimConfig) -> _ExpectedCounts:
     n, p_n = config.n_slots, ch.p_noise
     h = p_gate = core._gate_prob(src)
     if config.apply_herald_deadtime:
-        h = p_gate / (1.0 + config.deadtime_slots * p_gate)
+        h = p_gate / (1.0 + config.detector.deadtime_slots * p_gate)
     p_c = core._click_prob(src, ch.loss) if p_gate > 0.0 else 0.0
     # the CAR accidental window sees a slot's signal click whether or not it is gated
     arm = ch.loss if src.alpha_s is None else src.alpha_s.value * ch.loss

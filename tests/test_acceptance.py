@@ -260,8 +260,9 @@ def test_criterion_08_deadtime_fixed_point():
     rate_se = analytic_std_errs(cfg)["herald_rate_hz"]
     recovered = beta_mu_from_rate(MeasuredCounts(rate, REF_DETECTOR))
     # the recovery inherits the rate's sampling error through the inverse map
-    live = 1.0 - rate * REF_DETECTOR.deadtime_s
-    recovered_se = rate_se / (live * live * REF_DETECTOR.pulse_rate_hz)
+    # beta*mu = ln(1 + r / (f - (L + 1) r)), whose slope is f / ((f - (L + 1) r)(f - L r))
+    f, lock = REF_DETECTOR.pulse_rate_hz, REF_DETECTOR.deadtime_slots
+    recovered_se = rate_se * f / ((f - (lock + 1) * rate) * (f - lock * rate))
     ok = (abs(rate - 20e3) <= 3 * rate_se
           and abs(recovered - 5.13e-4) <= 3 * recovered_se)
     _report("criterion 8, deadtime-limited rate and its inversion", ok,

@@ -429,9 +429,12 @@ class TestSweep:
 
     def test_log_grid_needs_positive_endpoints(self, capsys, tmp_path):
         path = _scenario(tmp_path)
-        code, _, err = _run(capsys, "sweep", path, "--param", "source.mu",
-                            "--from", "0", "--to", "0.2", "--steps", "3", "--log")
-        assert code == 2
+        # a one-point grid is checked too, though it needs no ratio
+        for steps in ("3", "1"):
+            code, _, err = _run(capsys, "sweep", path, "--param", "source.mu",
+                                "--from", "0", "--to", "0.2", "--steps", steps, "--log")
+            assert code == 2
+            assert err.startswith("error: --log: log grids need positive endpoints")
 
     @pytest.mark.parametrize("start,stop,flag,value", [
         ("inf", "1", "--from", "inf"), ("0", "nan", "--to", "nan"),
@@ -451,8 +454,9 @@ class TestInfer:
                             "--pulse-rate", "48.7e6", "--format", "csv")
         _, rows = _parse_csv(out)
         by_q = {r["quantity"]: r for r in rows}
+        # h = r/f, p = h/(1 - 487 h), beta*mu = -ln(1 - p), in 50-digit mpmath
         assert float(by_q["beta_mu"]["value"]) == pytest.approx(
-            0.000513347022587269, rel=1e-11)
+            0.00051347883028072349114, rel=1e-11)
         assert "mu_from_rate" not in by_q
 
     def test_with_beta_yields_mu(self, capsys, tmp_path):

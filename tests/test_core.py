@@ -263,7 +263,7 @@ class TestPsnrAndGain:
         ch = _channel(0.05, p_noise=1e-3)
         m = link_metrics(REF_SOURCE, ch)
         ratio = m.psnr / m.psnr_wcs
-        assert psnr_gain(REF_SOURCE, ch) == pytest.approx(ratio, rel=1e-9)
+        assert m.psnr_gain == pytest.approx(ratio, rel=1e-9)
 
     def test_gain_frozen_reference_points(self):
         cases = ((2.2586211046047655, 2.26), (4.539893355285626, 4.54),
@@ -281,12 +281,12 @@ class TestPsnrAndGain:
     @settings(max_examples=80, deadline=None)
     def test_approx_within_one_percent_in_regime(self, mu, alpha_s, beta, loss):
         src = SourceSpec.hps(mu, alpha_s, beta)
-        exact = psnr_gain(src, _channel(loss))
+        exact = link_metrics(src, _channel(loss)).psnr_gain
         approx = psnr_gain_approx(src)
         assert abs(approx - exact) / exact < 0.01
 
     def test_default_reporting_loss(self):
-        explicit = psnr_gain(REF_SOURCE, _channel(DEFAULT_REPORTING_LOSS))
+        explicit = link_metrics(REF_SOURCE, _channel(DEFAULT_REPORTING_LOSS)).psnr_gain
         assert psnr_gain(REF_SOURCE) == pytest.approx(explicit, rel=1e-12)
 
     def test_gain_mu_zero_raises(self):

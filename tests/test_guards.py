@@ -9,9 +9,13 @@ every checkout, to ``heraldsim.paper``.  The tracer pin keeps the names the
 benchmark's per-layer spans wrap: the tracer skips a name it cannot find,
 so a rename would silently drop that layer's metrics.  The public-API
 guard keeps every ``__all__`` to names its module defines, and each
-package-level name to the object of the submodule that exports it.
+package-level name to the object of the submodule that exports it.  The
+lockout guard keeps one rule for turning a deadtime into locked slots:
+only ``DetectorSpec`` reads ``deadtime_s``, and everything else reads its
+``deadtime_slots``.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -90,3 +94,17 @@ def test_public_names_resolve_to_their_definitions():
         homes = [m for m in modules if name in m.__all__]
         assert homes, name
         assert all(getattr(m, name) is getattr(heraldsim, name) for m in homes), name
+
+
+def test_only_detector_spec_reads_deadtime_s():
+    # a second reader of deadtime_s would be a second lockout rule
+    readers = []
+    for path in sorted(Path(heraldsim.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "DetectorSpec"
+                 for node in ast.walk(cls)}
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "deadtime_s"
+                    and id(node) not in owner]
+    assert not readers, readers

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from heraldsim import core, montecarlo
-from heraldsim.core import ChannelSpec, SourceSpec, Transmittance
+from heraldsim.core import ChannelSpec, DetectorSpec, SourceSpec, Transmittance
 from heraldsim.montecarlo import (NOISE_MODELS, QUANTITIES, Estimate, MetricsEstimate,
                                   RunCounts, SimConfig, analytic_predictions,
                                   analytic_std_errs, compare, derive_seed,
@@ -379,17 +379,18 @@ class TestHeraldDeadtime:
 
     def test_saturated_source_pins_spacing(self):
         # with every slot clicking, accepted heralds hit the spacing ceiling;
-        # n_slots straddles a chunk boundary to exercise the carried lockout
+        # n_slots straddles a chunk boundary, though a lockout that restarted
+        # there would give the same count (TestChunkCarries pins the carry)
         cfg = _config(source=SourceSpec.hps(50.0, 1.0, 1.0),
                       detector=REF_DETECTOR, n_slots=2_100_000, seed=1,
                       apply_herald_deadtime=True)
         counts = simulate(cfg)
-        spacing = cfg.deadtime_slots + 1
+        spacing = cfg.detector.deadtime_slots + 1
         assert counts.heralds == math.ceil(cfg.n_slots / spacing)
 
     def test_deadtime_slots_float_guard(self):
-        cfg = _config(detector=REF_DETECTOR, apply_herald_deadtime=True)
-        assert cfg.deadtime_slots == 487
+        # 10 us at 48.7 MHz is 487.00000000000006 pulses in floats
+        assert REF_DETECTOR.deadtime_slots == 487
 
     def test_conditional_invariant_under_deadtime(self):
         # dropping heralds inside the lockout window is independent of the
@@ -467,6 +468,40 @@ class TestCar:
         cfg = _config(n_slots=2_000, seed=1)
         est = estimate_metrics(simulate(cfg), cfg)
         assert est.car is None or est.car.value > 0.0
+
+
+class TestChunkCarries:
+    # lossless sources that herald and click in every slot (but with odds of
+    # e^-50), run over two and a half chunks of 1000 slots, so every carry
+    # across a chunk boundary shows in an exact tally
+    SATURATED = {"wcs": SourceSpec.wcs(50.0), "hps": _hps(mu=50.0, alpha_s=1.0, beta=1.0)}
+
+    @pytest.mark.parametrize("kind", SATURATED)
+    def test_car_windows_cross_chunks(self, monkeypatch, kind):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        counts = simulate(_config(source=self.SATURATED[kind], n_slots=2500))
+        assert counts.heralds == counts.car_coincidences == 2500
+        # every slot but the last is followed by a signal click
+        assert counts.car_accidentals == 2499
+
+    # one registered click per L + 1 slots; at L = 2 a lockout that restarted
+    # with each chunk would register 2*334 + 167 = 835
+    @pytest.mark.parametrize("kind", SATURATED)
+    @pytest.mark.parametrize("lock,registered", [(6, 358), (2, 834)])
+    def test_receiver_lockout_crosses_chunks(self, monkeypatch, kind, lock, registered):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        detector = DetectorSpec(pulse_rate_hz=1e6, deadtime_s=lock * 1e-6)
+        assert detector.deadtime_slots == lock
+        counts = simulate(_config(source=self.SATURATED[kind], n_slots=2500,
+                                  detector=detector, apply_receiver_deadtime=True))
+        assert counts.registered_detections == math.ceil(2500 / (lock + 1)) == registered
+
+    def test_herald_lockout_crosses_chunks(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+        detector = DetectorSpec(pulse_rate_hz=1e6, deadtime_s=2e-6)
+        counts = simulate(_config(source=self.SATURATED["hps"], n_slots=2500,
+                                  detector=detector, apply_herald_deadtime=True))
+        assert counts.heralds == math.ceil(2500 / 3) == 834
 
 
 class TestHbt:
