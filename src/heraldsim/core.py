@@ -340,6 +340,8 @@ def _click_prob(source: SourceSpec, loss: float, arms: int = 1) -> float:
     P(all arms) - P(no herald, all arms) over ``p_t``, written as
     ``t**arms + e^-x * (e^(beta*x) - 1) * S / p_t`` with ``S = 1`` for one
     arm and ``s + t`` for two: no term is negative, so no digit cancels.
+    The sum is capped at 1, which rounding can overshoot by an ulp when
+    ``x`` is large (e.g. ``alpha_s = loss = 1``).
     """
     if source.kind == WCS:
         return (-math.expm1(-source.mu * loss / arms)) ** arms
@@ -350,7 +352,7 @@ def _click_prob(source: SourceSpec, loss: float, arms: int = 1) -> float:
     x = source.mu * source.alpha_s.value * loss / arms
     t = -math.expm1(-x * (1.0 - beta))
     gap = math.exp(-x) * math.expm1(beta * x) / p_t  # (s - t) / p_t
-    return t + gap if arms == 1 else t * t + gap * (t - math.expm1(-x))
+    return min(1.0, t + gap if arms == 1 else t * t + gap * (t - math.expm1(-x)))
 
 
 def _psnr(p_qkd: float, p_noise: float) -> float:

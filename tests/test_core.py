@@ -253,6 +253,12 @@ class TestHeraldingEfficiency:
         src = SourceSpec.hps(mu, alpha_s, 0.01)
         assert link_metrics(src, _channel()).heralding_efficiency >= alpha_s - 1e-12
 
+    def test_unit_alpha_s_stays_a_probability(self):
+        # t + gap rounds to 1 + 2**-52 here; link_metrics must not pass that on
+        src = SourceSpec.hps(0.14445880736151018, 1.0, 0.01)
+        m = link_metrics(src, _channel())
+        assert m.heralding_efficiency == m.p_cond == 1.0
+
 
 class TestPsnrAndGain:
     def test_unbounded_marker(self):
