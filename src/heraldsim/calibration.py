@@ -71,9 +71,9 @@ class MeasuredCounts:
         span = self.detector.deadtime_slots + 1
         if self.herald_rate_hz * span >= self.detector.pulse_rate_hz:
             raise SaturationError(
-                f"herald_rate_hz * (deadtime_slots + 1) = {self.herald_rate_hz * span:.6g} "
-                f">= pulse_rate_hz {self.detector.pulse_rate_hz:.6g}; the detector "
-                f"cannot count more than one herald per {span} slots")
+                f"herald_rate_hz must be below pulse_rate_hz / (deadtime_slots + 1) = "
+                f"{self.detector.pulse_rate_hz / span!r} Hz, got {self.herald_rate_hz!r}; "
+                f"the detector cannot count more than one herald per {span} slots")
         if self.g2 is not None:
             object.__setattr__(self, "g2", _real("g2", self.g2, 0.0, 1.0, hi_open=True))
 

@@ -49,6 +49,10 @@ MAX_REPLICAS = 1000
 SWEEP_SIM_QUANTITIES = ("p_t", "p_cond", "psnr", "qber")
 WDM_SIM_QUANTITIES = ("p_t", "p_cond", "qber")
 
+# the flag whose value sets each library field; main names it in that field's errors
+_FIELD_FLAGS = {"herald_rate_hz": "--rate", "deadtime_s": "--deadtime", "g2": "--g2",
+                "pulse_rate_hz": "--pulse-rate", "n_slots": "--slots", "seed": "--seed"}
+
 # ---------------------------------------------------------------- formatting
 
 def _fmt(x, digits: str = ".12g") -> str:
@@ -123,7 +127,7 @@ def _bounded(flag: str, value, lo: int, hi: float) -> int:
 
 
 def _check_flags(args) -> None:
-    """Bound every integer flag the command takes, before any work.
+    """Bound the integer flags that no library field owns, before any work.
 
     ``--slots``, ``--workers`` and ``--seed`` act only on simulations, so
     ``sweep`` and ``wdm`` refuse them without ``--simulate``.  A simulating
@@ -131,15 +135,13 @@ def _check_flags(args) -> None:
     here, if that is set.
     """
     simulating = getattr(args, "simulate", True)
-    bounds = (("steps", 1, math.inf), ("replicas", 1, MAX_REPLICAS),
-              ("slots", 1, math.inf), ("workers", 1, math.inf), ("seed", 0, _MASK64))
-    for dest, lo, hi in bounds:
+    bounds = {"steps": (1, math.inf), "replicas": (1, MAX_REPLICAS), "workers": (1, math.inf)}
+    for dest in ("steps", "replicas", "slots", "workers", "seed"):
         value = getattr(args, dest, None)
-        if value is None:
-            continue
-        if dest in ("slots", "workers", "seed") and not simulating:
+        if value is not None and dest in ("slots", "workers", "seed") and not simulating:
             raise ScenarioError(f"--{dest}", "has no effect without --simulate")
-        _bounded(f"--{dest}", value, lo, hi)
+        if value is not None and dest in bounds:
+            _bounded(f"--{dest}", value, *bounds[dest])
     env = os.environ.get(SEED_ENV)
     if "seed" in vars(args) and simulating and args.seed is None and env is not None:
         try:
@@ -159,11 +161,12 @@ def _run_jobs(args, jobs: list) -> tuple[list, list]:
 
     The base seed is ``--seed`` (or ``HERALDSIM_SEED``, see ``_check_flags``),
     else the first job's seed.  Each job runs ``derive_seed(base, run index)``
-    over ``--slots`` or its own ``n_slots`` slots.  With ``--workers N > 1``
-    the jobs share one process pool; no result depends on N.
+    over ``--slots`` or its own ``n_slots`` slots; ``derive_seed`` and
+    ``SimConfig`` refuse a bad ``--seed`` or ``--slots`` before any job
+    runs.  With ``--workers N > 1`` the jobs share one pool; no result depends on N.
     """
     base_seed = args.seed if args.seed is not None else jobs[0][0].seed
-    configs = [replace(cfg, n_slots=args.slots or cfg.n_slots,
+    configs = [replace(cfg, n_slots=cfg.n_slots if args.slots is None else args.slots,
                        seed=derive_seed(base_seed, index))
                for cfg, index in jobs]
     workers = _pool_size(args.workers or 1, len(configs))
@@ -281,6 +284,11 @@ def _cmd_sweep(args) -> int:
             grid.append(build_scenario(fragment).config)
         except ScenarioError as exc:
             raise ScenarioError(exc.path, f"{exc.message} (swept value {v!r})") from exc
+    # the closed-form columns read only the source and the channel
+    if not args.simulate and args.param.startswith(("detector.", "simulation.")):
+        raise ScenarioError("--param", f"{args.param} has no effect without --simulate")
+    if args.slots is not None and args.param == "simulation.n_slots":
+        raise ScenarioError("--slots", "has no effect when --param is simulation.n_slots")
     is_hps = grid[0].source.kind == "hps"
     if is_hps:
         header = (args.param, "p_s", "p_t", "p_cond", "heralding_efficiency",
@@ -313,20 +321,9 @@ def _cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- infer
 
-# the flag that sets each MeasuredCounts and DetectorSpec field
-_INFER_FLAGS = {"herald_rate_hz": "--rate", "deadtime_s": "--deadtime",
-                "pulse_rate_hz": "--pulse-rate", "g2": "--g2"}
-
-
 def _cmd_infer(args) -> int:
-    try:
-        detector = DetectorSpec(pulse_rate_hz=args.pulse_rate, deadtime_s=args.deadtime)
-        measured = MeasuredCounts(args.rate, detector, g2=args.g2)
-    except ValueError as exc:  # a field's own "<name> must ..." error names its flag
-        name, _, rest = str(exc).partition(" ")
-        if name in _INFER_FLAGS and rest.startswith("must "):
-            raise ScenarioError(_INFER_FLAGS[name], rest) from exc
-        raise
+    detector = DetectorSpec(pulse_rate_hz=args.pulse_rate, deadtime_s=args.deadtime)
+    measured = MeasuredCounts(args.rate, detector, g2=args.g2)
     notes = []
     if args.beta_db is not None:
         result = calibrate_source(measured, _db_transmittance("", "--beta-db", args.beta_db))
@@ -565,7 +562,14 @@ def main(argv: "list[str] | None" = None) -> int:
         _check_flags(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # every file input is tagged at its loader (scenario, plan), so a plain
+        # "<field> must ..." error can only come from a flag's value
+        message = str(exc)
+        name, _, rest = message.partition(" ")
+        if (name in _FIELD_FLAGS and rest.startswith("must ")
+                and not isinstance(exc, ScenarioError)):
+            message = f"{_FIELD_FLAGS[name]}: {rest}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -17,14 +17,15 @@ WCS); receiver deadtime thins p_cond, cancels from psnr and qber, and
 leaves g2 unpredicted when it alone drops clicks; and a quantity with no
 estimate at the expected tallies has no prediction.
 
-Determinism: identical ``(config, seed)`` produce bit-identical
-:class:`RunCounts`.  The draw layout is part of that contract.  Each
-chunk of slots draws, in order: one Poisson photon (pair) count per
-slot; for an HPS, one uniform per slot for the herald click; one
-binomial surviving-signal-photon count per slot; when ``p_noise > 0``,
-one noise-photon count per gated slot (a uniform against ``p_noise``
-under the Bernoulli model, a Poisson count under the Poisson model);
-one uniform per gated noise click for the basis error; and with
+Determinism: the same config, seed and package version give
+bit-identical :class:`RunCounts`; across versions only
+:func:`derive_seed` is fixed.  The current engine draws, per chunk of
+slots and in order: one Poisson photon (pair) count per slot; for an
+HPS, one uniform per slot for the herald click; one binomial
+surviving-signal-photon count per slot; when ``p_noise > 0``, one
+noise-photon count per gated slot (a uniform against ``p_noise`` under
+the Bernoulli model, a Poisson count under the Poisson model); one
+uniform per gated noise click for the basis error; and with
 ``hbt_enabled``, one binomial(1/2) split per gated slot.  Flags add or
 drop stages but never change how a stage draws.
 """
@@ -141,16 +142,14 @@ class RunCounts:
         return cls(*(sum(getattr(r, f.name) for r in runs) for f in fields(cls)))
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """Point estimate with a first-order standard error."""
 
     value: float
     std_err: float
 
 
-@dataclass(frozen=True)
-class MetricsEstimate:
+class MetricsEstimate(NamedTuple):
     """Estimated link metrics; None marks quantities the run cannot report."""
 
     p_t: Estimate | None
@@ -162,7 +161,7 @@ class MetricsEstimate:
     herald_rate_hz: Estimate | None
 
 
-QUANTITIES = tuple(f.name for f in fields(MetricsEstimate))
+QUANTITIES = MetricsEstimate._fields
 
 
 class Comparison(NamedTuple):

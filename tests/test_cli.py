@@ -200,11 +200,25 @@ class TestSimulate:
         ("--replicas", "0"), ("--replicas", str(cli.MAX_REPLICAS + 1)),
         ("--slots", "0"), ("--workers", "0"), ("--workers", "-3"),
         ("--seed", "-1"), ("--seed", str(2**64))])
-    def test_resource_flag_out_of_range_names_flag(self, capsys, tmp_path, flag, value):
+    def test_resource_flag_out_of_range_names_flag(self, capsys, tmp_path, monkeypatch,
+                                                   flag, value):
+        # SimConfig and derive_seed bound --slots and --seed as the jobs are
+        # built, before any runs; --slots 0 must not fall back to n_slots
+        monkeypatch.setattr(cli, "simulate", None)
         path = _scenario(tmp_path, simulation={"n_slots": 1_000})
-        code, out, err = _run(capsys, "simulate", path, flag, value)
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: {flag}:")
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"channels": [{"index": 11}]}), encoding="utf-8")
+        argvs = [["simulate", path]]
+        if flag != "--replicas":
+            argvs += [["sweep", path, "--param", "source.mu", "--from", "0.1", "--to", "0.2",
+                       "--steps", "2", "--simulate"], ["wdm", str(plan), path, "--simulate"]]
+        errs = set()
+        for argv in argvs:
+            code, out, err = _run(capsys, *argv, flag, value)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {flag}:")
+            errs.add(err)
+        assert len(errs) == 1, errs
 
     def test_out_of_range_env_seed_names_variable(self, capsys, tmp_path, monkeypatch):
         path = _scenario(tmp_path, simulation={"n_slots": 1_000})
@@ -421,6 +435,25 @@ class TestSweep:
         assert err == ("error: simulation.n_slots: must be an integer >= 1, got 2.5"
                        " (swept value 2.5)\n")
 
+    @pytest.mark.parametrize("param,start,stop", [
+        ("detector.deadtime_s", "0", "1e-5"), ("detector.pulse_rate_hz", "1e6", "2e6"),
+        ("simulation.n_slots", "1000", "2000")])
+    def test_simulation_param_needs_simulate(self, capsys, tmp_path, param, start, stop):
+        # the closed-form columns would repeat one row for every grid value
+        path = _scenario(tmp_path)
+        code, out, err = _run(capsys, "sweep", path, "--param", param,
+                              "--from", start, "--to", stop, "--steps", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: --param: {param} has no effect without --simulate\n"
+
+    def test_slots_flag_refused_when_sweeping_slots(self, capsys, tmp_path):
+        path = _scenario(tmp_path)
+        code, out, err = _run(capsys, "sweep", path, "--param", "simulation.n_slots",
+                              "--from", "1000", "--to", "4000", "--steps", "2",
+                              "--simulate", "--seed", "1", "--slots", "500")
+        assert code == 2 and out == ""
+        assert err == "error: --slots: has no effect when --param is simulation.n_slots\n"
+
     def test_zero_steps_rejected(self, capsys, tmp_path):
         path = _scenario(tmp_path)
         code, _, err = _run(capsys, "sweep", path, "--param", "source.mu",
@@ -494,6 +527,8 @@ class TestInfer:
         code, _, err = _run(capsys, "infer", "--rate", "1e9", "--deadtime", "10e-6",
                             "--pulse-rate", "48.7e6")
         assert code == 2 and "error:" in err
+        assert err.startswith("error: --rate: must be below")
+        assert "one herald per 488 slots" in err
 
     def test_g2_without_beta(self, capsys, tmp_path):
         code, out, _ = _run(capsys, "infer", "--rate", "20e3", "--deadtime", "10e-6",

@@ -8,8 +8,9 @@ reference setup, which it keeps so that it runs the same workloads on
 every checkout, to ``heraldsim.paper``.  The tracer pin keeps the names the
 benchmark's per-layer spans wrap: the tracer skips a name it cannot find,
 so a rename would silently drop that layer's metrics.  The public-API
-guard keeps every ``__all__`` to names its module defines, and each
-package-level name to the object of the submodule that exports it.  The
+guard keeps every ``__all__`` to names its module defines, each
+package-level name to the object of the submodule that exports it, and the
+package's ``__all__`` to its version plus its submodules' lists.  The
 lockout guard keeps one rule for turning a deadtime into locked slots:
 only ``DetectorSpec`` reads ``deadtime_s``, and everything else reads its
 ``deadtime_slots``.
@@ -94,6 +95,14 @@ def test_public_names_resolve_to_their_definitions():
         homes = [m for m in modules if name in m.__all__]
         assert homes, name
         assert all(getattr(m, name) is getattr(heraldsim, name) for m in homes), name
+
+
+def test_package_republishes_each_submodule_all():
+    # one list of public names: the package adds only its version
+    exported = ["__version__"]
+    for name in ("core", "calibration", "montecarlo", "scenario", "wdm"):
+        exported += importlib.import_module(f"heraldsim.{name}").__all__
+    assert sorted(heraldsim.__all__) == sorted(set(exported)) == sorted(exported)
 
 
 def test_only_detector_spec_reads_deadtime_s():
