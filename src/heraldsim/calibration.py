@@ -128,7 +128,8 @@ def calibrate_source(
     ``mu`` is taken from the deadtime-corrected rate.  When the
     measurement includes g2, an independent mu estimate is derived from
     it; a relative mismatch above 10% produces a warning string and above
-    50% raises :class:`CalibrationError`.  ``alpha_s`` defaults to 1 and
+    50% raises :class:`CalibrationError`, as does a zero rate beside a g2
+    that implies a nonzero mu.  ``alpha_s`` defaults to 1 and
     should be replaced with the measured signal-arm loss before link
     analysis.
     """
@@ -149,6 +150,10 @@ def calibrate_source(
             if mismatch > MISMATCH_WARN:
                 warning = (f"mu estimates disagree by {mismatch:.1%} "
                            f"(rate: {mu_rate:.4g}, g2: {mu_g2:.4g})")
+        elif mu_g2 > 0.0:
+            raise CalibrationError(
+                f"mu from rate ({mu_rate:.4g}) and from g2 ({mu_g2:.4g}) disagree: "
+                f"a zero herald rate needs g2 = 0; check the rate")
     source = SourceSpec.hps(mu_rate, alpha_s, beta)
     return CalibrationResult(source, beta_mu, mu_rate, mu_g2, mismatch, warning)
 

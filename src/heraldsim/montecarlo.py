@@ -19,15 +19,26 @@ estimate at the expected tallies has no prediction.
 
 Determinism: the same config, seed and package version give
 bit-identical :class:`RunCounts`; across versions only
-:func:`derive_seed` is fixed.  The current engine draws, per chunk of
-slots and in order: one Poisson photon (pair) count per slot; for an
-HPS, one uniform per slot for the herald click; one binomial
-surviving-signal-photon count per slot; when ``p_noise > 0``, one
-noise-photon count per gated slot (a uniform against ``p_noise`` under
-the Bernoulli model, a Poisson count under the Poisson model); one
-uniform per gated noise click for the basis error; and with
-``hbt_enabled``, one binomial(1/2) split per gated slot.  Flags add or
-drop stages but never change how a stage draws.
+:func:`derive_seed` is fixed.  Flags add or drop stages but never change
+how a stage draws.  The current engines draw, in order:
+
+- HPS, per chunk of slots: one Poisson photon-pair count per slot; one
+  uniform per slot for the herald click; one binomial
+  surviving-signal-photon count per slot; when ``p_noise > 0``, one
+  noise-photon count per gated slot (a uniform against ``p_noise`` under
+  the Bernoulli model, a Poisson count under the Poisson model); one
+  uniform per gated noise click for the basis error; and with
+  ``hbt_enabled``, one binomial(1/2) split per gated slot.
+- WCS, per batch of events (slots that hold a signal survivor or a noise
+  photon): one geometric gap per event; under the Poisson model or
+  without noise, one uniform and one Poisson count per event for a
+  zero-truncated total, then, with noise, one binomial signal share per
+  event; under the Bernoulli model with noise, one uniform per event for
+  its noise photon, one Poisson survivor count per noisy event and one
+  uniform and one Poisson count per quiet one; one uniform per noisy
+  event for the basis error; with ``hbt_enabled``, one binomial(1/2)
+  split per event; and after the last batch, under receiver deadtime,
+  one binomial count of signal slots inside the locked windows.
 """
 
 from __future__ import annotations
@@ -214,8 +225,44 @@ def _lockout(idx_abs: np.ndarray, locked_until: int, lock: int) -> tuple[np.ndar
     return keep, locked_until
 
 
+def _errors_and_arms(rng: np.random.Generator, config: SimConfig, ns: np.ndarray,
+                     kn: np.ndarray) -> tuple[int, int, int, int]:
+    """Basis errors and HBT ``(n2, n3, nc)`` of slots holding ``ns`` signal, ``kn`` noise photons.
+
+    A click with ``k`` noise photons errs with probability 1/2 without
+    signal and ``(1 - 0.5^k)/2`` with it.  With ``hbt_enabled`` the signal
+    photons (and, under ``hbt_noise_coupling``, the noise photons) split
+    50/50 onto the two arms.  Draws one uniform per noisy slot, then,
+    with ``hbt_enabled``, one binomial per slot.
+    """
+    err_pos = np.flatnonzero(kn)
+    u = rng.random(err_pos.size)
+    p_err = np.where(ns[err_pos] > 0, 0.5 * -np.expm1(kn[err_pos] * math.log(0.5)), 0.5)
+    errors = int(np.count_nonzero(u < p_err))
+    if not config.hbt_enabled:
+        return errors, 0, 0, 0
+    split = ns + kn if config.hbt_noise_coupling else ns
+    n2 = rng.binomial(split, 0.5)
+    c2 = n2 > 0
+    c3 = split > n2
+    return (errors, int(np.count_nonzero(c2)), int(np.count_nonzero(c3)),
+            int(np.count_nonzero(c2 & c3)))
+
+
+def _ztp(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
+    """``size`` zero-truncated Poisson(``lam``) draws, exactly and without rejection.
+
+    Given at least one arrival of a rate-``lam`` process on [0, 1], the
+    first comes at ``t1 = -log1p(u*expm1(-lam))/lam`` and the others are
+    Poisson(``lam*(1 - t1)``); ``lam*(1 - t1)`` is clipped at 0 against
+    rounding.
+    """
+    rest = lam + np.log1p(rng.random(size) * math.expm1(-lam))
+    return 1 + rng.poisson(np.maximum(rest, 0.0))
+
+
 def simulate(config: SimConfig) -> RunCounts:
-    """Run the slot-by-slot simulation and return raw tallies.
+    """Run the slot-level simulation and return raw tallies.
 
     Per slot: draw the Poisson photon (pair) count; decide the herald
     click by thinning through the herald arm (WCS: implicit herald, all
@@ -234,13 +281,17 @@ def simulate(config: SimConfig) -> RunCounts:
     signal click of the same slot (coincidence) and of the next slot
     (accidental); both ignore receiver deadtime.
 
-    Slot arithmetic is vectorized in fixed-size chunks; only the
-    deadtime lockouts scan sequentially, over accepted events.
+    The chunked slot loop below is HPS-only: slot arithmetic is vectorized
+    in fixed-size chunks, and only the deadtime lockouts scan
+    sequentially, over accepted events.  A WCS takes the click-driven
+    path of :func:`_simulate_wcs`, which draws only the slots where
+    something can click, so its cost grows with its clicks, not its slots.
     """
+    if config.source.kind == core.WCS:
+        return _simulate_wcs(config)
     rng = np.random.default_rng(config.seed)
     src, ch = config.source, config.channel
-    is_hps = src.kind == core.HPS
-    arm = (src.alpha_s.value if is_hps else 1.0) * ch.loss
+    arm = src.alpha_s.value * ch.loss
     p_noise = ch.p_noise
     noise_lam = -math.log1p(-p_noise)
     lock = config.detector.deadtime_slots
@@ -258,18 +309,15 @@ def simulate(config: SimConfig) -> RunCounts:
         k = rng.poisson(src.mu, m)
         photons = np.flatnonzero(k)
 
-        if is_hps:
-            # only slots with photons can herald; a uniform for every slot keeps the stream
-            u = rng.random(m)
+        # only slots with photons can herald; a uniform for every slot keeps the stream
+        u = rng.random(m)
+        herald = np.zeros(m, dtype=bool)
+        herald[photons] = u[photons] < _p_any(k[photons], src.beta.value)
+        if config.apply_herald_deadtime:
+            idx = np.flatnonzero(herald)
+            keep, herald_locked_until = _lockout(idx + start, herald_locked_until, lock)
             herald = np.zeros(m, dtype=bool)
-            herald[photons] = u[photons] < _p_any(k[photons], src.beta.value)
-            if config.apply_herald_deadtime:
-                idx = np.flatnonzero(herald)
-                keep, herald_locked_until = _lockout(idx + start, herald_locked_until, lock)
-                herald = np.zeros(m, dtype=bool)
-                herald[idx[keep]] = True
-        else:
-            herald = np.ones(m, dtype=bool)
+            herald[idx[keep]] = True
 
         # binomial draws nothing for a zero count, so skipping k == 0 keeps the stream
         n_sig = np.zeros(m, dtype=np.int64)
@@ -296,19 +344,11 @@ def simulate(config: SimConfig) -> RunCounts:
         sig_g = ns_g > 0
         noise_g = kn_g > 0
 
-        err_pos = np.flatnonzero(noise_g)
-        u = rng.random(err_pos.size)
-        p_err = np.where(sig_g[err_pos], 0.5 * -np.expm1(kn_g[err_pos] * math.log(0.5)), 0.5)
-        err_total += int(np.count_nonzero(u < p_err))
-
-        if config.hbt_enabled:
-            split = ns_g + kn_g if config.hbt_noise_coupling else ns_g
-            n2 = rng.binomial(split, 0.5)
-            c2 = n2 > 0
-            c3 = split > n2
-            n2_total += int(np.count_nonzero(c2))
-            n3_total += int(np.count_nonzero(c3))
-            nc_total += int(np.count_nonzero(c2 & c3))
+        errors, n2, n3, nc = _errors_and_arms(rng, config, ns_g, kn_g)
+        err_total += errors
+        n2_total += n2
+        n3_total += n3
+        nc_total += nc
 
         heralds += g
         sig_total += int(np.count_nonzero(sig_g))
@@ -333,6 +373,95 @@ def simulate(config: SimConfig) -> RunCounts:
         hbt_nc=nc_total,
         car_coincidences=coin_total,
         car_accidentals=acc_total,
+    )
+
+
+def _simulate_wcs(config: SimConfig) -> RunCounts:
+    """Click-driven WCS run: the same tallies as a slot loop, drawn only at clicks.
+
+    Every slot is gated, and a slot holds Poisson(``a``) signal survivors,
+    ``a = mu*loss`` (the thinning of Poisson(mu) photons), plus its noise.
+    It is an event, and clicks, with ``q = 1 - exp(-a)*(1 - p_noise)``
+    under both noise models, so events sit Geometric(``q``) slots apart.
+    Under receiver deadtime an accepted click locks the next ``L`` slots,
+    so accepted clicks renew ``L`` + Geometric(``q``) slots apart, from a
+    live slot 0.  Each event draws its counts given that it is one: under
+    the Poisson model (or without noise) a zero-truncated Poisson total
+    split binomially between signal and noise; under the Bernoulli model
+    a noise photon with probability ``p_noise/q``, then Poisson(``a``)
+    survivors beside it or zero-truncated Poisson(``a``) ones without.
+    The CAR windows ignore the lockout, so the signal slots inside locked
+    windows come from one binomial draw; the accidentals are the
+    coincidences less a survivor in slot 0, whose window would lie past
+    the run.  Events come in batches sized from their expected count, so
+    memory does not grow with ``n_slots``.
+    """
+    rng = np.random.default_rng(config.seed)
+    ch = config.channel
+    n, p_noise = config.n_slots, ch.p_noise
+    a = config.source.mu * ch.loss
+    noise_lam = -math.log1p(-p_noise)
+    q = -math.expm1(-a + math.log1p(-p_noise))
+    lock = min(config.detector.deadtime_slots, n) if config.apply_receiver_deadtime else 0
+    joint = p_noise == 0.0 or config.noise_model == "poisson-per-gate"
+
+    sig_total = noise_total = reg_total = err_total = 0
+    n2_total = n3_total = nc_total = 0
+    locked = slot0 = 0
+    last = -1 - lock  # a click accepted just in time to leave slot 0 live
+    k = m = 0
+    while q > 0.0 and k == m:
+        expected = (n - last) * q / (1.0 + lock * q)
+        m = min(_CHUNK, int(expected + 6.0 * math.sqrt(expected) + 16.0))
+        # geometric saturates at 2**63 - 1 for q below ~1e-19; a gap clipped at
+        # n + 1 still ends the run, and keeps the cumsum below 2**63 for n < 2**40
+        pos = last + np.cumsum(lock + np.minimum(rng.geometric(q, m), n + 1))
+        k = int(np.searchsorted(pos, n))
+        pos = pos[:k]
+        if k == 0:
+            break
+        last = int(pos[-1])
+
+        if joint:
+            total = _ztp(rng, a + noise_lam, k)
+            sig = total if p_noise == 0.0 else rng.binomial(total, a / (a + noise_lam))
+            noise = total - sig
+        else:
+            # at a == 0 every event is noisy; drawing that keeps ZTP(0) out
+            noisy = rng.random(k) < p_noise / q if a > 0.0 else np.ones(k, dtype=bool)
+            n_noisy = int(np.count_nonzero(noisy))
+            sig = np.empty(k, dtype=np.int64)
+            sig[noisy] = rng.poisson(a, n_noisy)
+            sig[~noisy] = _ztp(rng, a, k - n_noisy)
+            noise = noisy.astype(np.int64)
+
+        errors, n2, n3, nc = _errors_and_arms(rng, config, sig, noise)
+        err_total += errors
+        n2_total += n2
+        n3_total += n3
+        nc_total += nc
+        sig_total += int(np.count_nonzero(sig))
+        noise_total += int(np.count_nonzero(noise))
+        reg_total += k
+        if lock:
+            locked += int(np.minimum(lock, n - 1 - pos).sum())
+        if pos[0] == 0:
+            slot0 = int(sig[0] > 0)
+
+    coin = sig_total + (int(rng.binomial(locked, -math.expm1(-a))) if locked else 0)
+    return RunCounts(
+        slots=n,
+        heralds=n,
+        gated_slots=n,
+        signal_detections=sig_total,
+        noise_detections=noise_total,
+        registered_detections=reg_total,
+        errors=err_total,
+        hbt_n2=n2_total,
+        hbt_n3=n3_total,
+        hbt_nc=nc_total,
+        car_coincidences=coin,
+        car_accidentals=coin - slot0,
     )
 
 

@@ -137,6 +137,15 @@ class TestCalibrateSource:
         with pytest.raises(CalibrationError):
             calibrate_source(_counts(REF_RATE, g2=0.52), beta=REF_SOURCE.beta)
 
+    def test_zero_rate_with_nonzero_g2_raises(self):
+        with pytest.raises(CalibrationError, match=r"rate \(0\) and from g2 \(0\.05409\)"):
+            calibrate_source(_counts(0.0, g2=0.1), beta=REF_SOURCE.beta)
+
+    def test_zero_rate_with_zero_g2_agrees(self):
+        result = calibrate_source(_counts(0.0, g2=0.0), beta=REF_SOURCE.beta)
+        assert result.mu_from_rate == result.mu_from_g2 == 0.0
+        assert result.mismatch is None and result.warning is None
+
     def test_alpha_s_carried_through(self):
         alpha_s = REF_SOURCE.alpha_s
         result = calibrate_source(_counts(REF_RATE), beta=REF_SOURCE.beta, alpha_s=alpha_s)

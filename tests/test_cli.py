@@ -523,6 +523,12 @@ class TestInfer:
                             "--g2", "0.52")
         assert code == 2 and "error:" in err
 
+    def test_zero_rate_beside_a_g2_exits_2(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "infer", "--rate", "0", "--deadtime", "10e-6",
+                              "--pulse-rate", "48.7e6", "--g2", "0.1", "--beta-db", "-23.3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: mu from rate (0) and from g2 (0.05409) disagree")
+
     def test_saturated_rate_exits_2(self, capsys, tmp_path):
         code, _, err = _run(capsys, "infer", "--rate", "1e9", "--deadtime", "10e-6",
                             "--pulse-rate", "48.7e6")
